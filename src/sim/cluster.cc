@@ -50,6 +50,7 @@ Result<Cluster> Cluster::Make(const SkuCatalog& catalog,
       machine.id = id;
       machine.sku_index = static_cast<int>(s);
       machine.load_offset = sku_offset + rng.Normal(0.0, sku_spread);
+      machine.noise_key = MachineNoiseKey(config.seed, id);
       cluster.by_sku_[s].push_back(id);
       cluster.machines_.push_back(machine);
       ++id;
@@ -71,27 +72,39 @@ double Cluster::BaselineUtilization(double t_seconds) const {
          config_.diurnal_amplitude * std::sin(phase);
 }
 
+// Both helpers are private and used only in this file; `inline` keeps them
+// in the hot per-machine loops below.
+inline int64_t Cluster::NoiseBucket(double t_seconds) const {
+  return static_cast<int64_t>(t_seconds / config_.noise_period_seconds);
+}
+
+inline double Cluster::UtilizationAt(const Machine& m, double baseline,
+                                     int64_t bucket) const {
+  const double noise =
+      config_.noise_amplitude * BucketNoise(m.noise_key, bucket);
+  return Clamp01Util(baseline + m.load_offset + noise);
+}
+
 double Cluster::MachineUtilization(int machine_id, double t_seconds) const {
   RVAR_CHECK(machine_id >= 0 &&
              static_cast<size_t>(machine_id) < machines_.size());
-  const Machine& m = machines_[static_cast<size_t>(machine_id)];
-  const int64_t bucket =
-      static_cast<int64_t>(t_seconds / config_.noise_period_seconds);
-  const double noise = config_.noise_amplitude *
-                       MachineNoise(config_.seed, machine_id, bucket);
-  return Clamp01Util(BaselineUtilization(t_seconds) + m.load_offset + noise);
+  return UtilizationAt(machines_[static_cast<size_t>(machine_id)],
+                       BaselineUtilization(t_seconds), NoiseBucket(t_seconds));
 }
 
 void Cluster::SkuUtilization(int sku_index, double t_seconds, double* mean,
                              double* stddev) const {
   const std::vector<int>& ids = MachinesOfSku(sku_index);
   RVAR_CHECK(!ids.empty());
+  const double baseline = BaselineUtilization(t_seconds);
+  const int64_t bucket = NoiseBucket(t_seconds);
   // Subsample large SKU pools for cheap queries.
   const size_t step = std::max<size_t>(1, ids.size() / 64);
   double sum = 0.0, sumsq = 0.0;
   int n = 0;
   for (size_t i = 0; i < ids.size(); i += step) {
-    const double u = MachineUtilization(ids[i], t_seconds);
+    const double u =
+        UtilizationAt(machines_[static_cast<size_t>(ids[i])], baseline, bucket);
     sum += u;
     sumsq += u * u;
     ++n;
@@ -107,21 +120,26 @@ void Cluster::SkuUtilization(int sku_index, double t_seconds, double* mean,
 double Cluster::SpareAvailability(double t_seconds) const {
   const double idle = 1.0 - BaselineUtilization(t_seconds);
   // Noise bucket shared across the cluster: spare supply flickers.
-  const int64_t bucket =
-      static_cast<int64_t>(t_seconds / config_.noise_period_seconds);
-  const double noise =
-      0.25 * MachineNoise(config_.seed ^ 0x5157ULL, -1, bucket);
+  const double noise = 0.25 * MachineNoise(config_.seed ^ 0x5157ULL, -1,
+                                          NoiseBucket(t_seconds));
   return std::clamp(config_.spare_exposure * idle * (1.0 + noise), 0.0, 1.0);
 }
 
 std::vector<int> Cluster::SamplePlacement(int count, double t_seconds,
                                           double greed, int preferred_sku,
-                                          double preference,
-                                          Rng* rng) const {
+                                          double preference, Rng* rng,
+                                          std::vector<double>* utilization)
+    const {
   RVAR_CHECK(rng != nullptr);
   RVAR_CHECK_GE(count, 0);
   std::vector<int> out;
   out.reserve(static_cast<size_t>(count));
+  if (utilization != nullptr) {
+    utilization->clear();
+    utilization->reserve(static_cast<size_t>(count));
+  }
+  const double baseline = BaselineUtilization(t_seconds);
+  const int64_t bucket = NoiseBucket(t_seconds);
   const int total = static_cast<int>(machines_.size());
   for (int k = 0; k < count; ++k) {
     const bool use_preferred =
@@ -133,6 +151,7 @@ std::vector<int> Cluster::SamplePlacement(int count, double t_seconds,
     // Rejection-sample a lightly loaded machine: accept machine with
     // probability proportional to (1 - util)^greed.
     int chosen = -1;
+    double chosen_util = 0.0;
     for (int attempt = 0; attempt < 8; ++attempt) {
       int candidate;
       if (pool != nullptr) {
@@ -141,14 +160,15 @@ std::vector<int> Cluster::SamplePlacement(int count, double t_seconds,
       } else {
         candidate = static_cast<int>(rng->UniformInt(0, total - 1));
       }
-      const double idle = 1.0 - MachineUtilization(candidate, t_seconds);
-      if (rng->Bernoulli(std::pow(idle, greed))) {
-        chosen = candidate;
-        break;
-      }
-      chosen = candidate;  // fall back to the last candidate
+      const double util = UtilizationAt(
+          machines_[static_cast<size_t>(candidate)], baseline, bucket);
+      // Fall back to the last candidate if every attempt is rejected.
+      chosen = candidate;
+      chosen_util = util;
+      if (rng->Bernoulli(std::pow(1.0 - util, greed))) break;
     }
     out.push_back(chosen);
+    if (utilization != nullptr) utilization->push_back(chosen_util);
   }
   return out;
 }

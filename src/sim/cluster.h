@@ -76,13 +76,25 @@ class Cluster {
   /// Samples `count` machine ids for vertex placement. The scheduler
   /// prefers lightly loaded machines: machines are drawn with weight
   /// (1 - utilization)^greed. If `preferred_sku` >= 0, a `preference`
-  /// fraction of draws is confined to that SKU.
+  /// fraction of draws is confined to that SKU. If `utilization` is
+  /// non-null, it receives MachineUtilization(id, t_seconds) of each
+  /// returned id, in the same order.
   std::vector<int> SamplePlacement(int count, double t_seconds,
                                    double greed, int preferred_sku,
-                                   double preference, Rng* rng) const;
+                                   double preference, Rng* rng,
+                                   std::vector<double>* utilization =
+                                       nullptr) const;
 
  private:
   Cluster(SkuCatalog catalog, ClusterConfig config);
+
+  /// Index of the noise bucket containing t_seconds.
+  int64_t NoiseBucket(double t_seconds) const;
+
+  /// Utilization of `m` given a query's baseline and noise bucket, which
+  /// are the same for every machine a query touches.
+  double UtilizationAt(const Machine& m, double baseline,
+                       int64_t bucket) const;
 
   SkuCatalog catalog_;
   ClusterConfig config_;

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 
+#include "common/hash.h"
+
 namespace rvar {
 namespace sim {
 
@@ -20,12 +22,30 @@ struct Machine {
   /// Persistent utilization offset relative to the cluster baseline; the
   /// spread of these offsets is the cluster's load imbalance.
   double load_offset = 0.0;
+  /// MachineNoiseKey(cluster seed, id), precomputed once per machine.
+  uint64_t noise_key = 0;
 };
+
+/// The (cluster seed, machine id) prefix of a machine's noise hash. It is
+/// constant per machine, so the cluster computes it once.
+inline uint64_t MachineNoiseKey(uint64_t cluster_seed, int machine_id) {
+  return HashCombine(cluster_seed, static_cast<uint64_t>(machine_id));
+}
+
+/// Noise in [-1, 1] for a machine's noise key and a time bucket.
+inline double BucketNoise(uint64_t noise_key, int64_t time_bucket) {
+  const uint64_t h =
+      HashCombine(noise_key, static_cast<uint64_t>(time_bucket));
+  // Map to [-1, 1].
+  return 2.0 * (static_cast<double>(h >> 11) * 0x1.0p-53) - 1.0;
+}
 
 /// Deterministic per-(machine, time-bucket) noise in [-1, 1], derived from
 /// a hash so repeated queries agree.
-double MachineNoise(uint64_t cluster_seed, int machine_id,
-                    int64_t time_bucket);
+inline double MachineNoise(uint64_t cluster_seed, int machine_id,
+                           int64_t time_bucket) {
+  return BucketNoise(MachineNoiseKey(cluster_seed, machine_id), time_bucket);
+}
 
 }  // namespace sim
 }  // namespace rvar

@@ -116,8 +116,7 @@ Result<JobRun> TokenScheduler::Execute(const JobGroupSpec& group,
 
   RunningStats util_stats;
   double token_seconds = 0.0, spare_token_seconds = 0.0;
-  double slowest_stage = 0.0;
-  size_t slowest_stage_idx = 0;
+  std::vector<double> placed_util;
 
   // Per-vertex share of the per-SKU accounting.
   for (int s = 0; s < group.plan.num_stages; ++s) {
@@ -159,13 +158,11 @@ Result<JobRun> TokenScheduler::Execute(const JobGroupSpec& group,
                                : config_.placement_greed;
       const std::vector<int> placed = cluster_->SamplePlacement(
           sample, t0 + elapsed, greed, group.preferred_sku,
-          group.sku_preference, rng);
+          group.sku_preference, rng, &placed_util);
       double speed_sum = 0.0, contention_sum = 0.0;
-      for (int machine_id : placed) {
-        const Machine& m =
-            cluster_->machines()[static_cast<size_t>(machine_id)];
-        const double util =
-            cluster_->MachineUtilization(machine_id, t0 + elapsed);
+      for (size_t i = 0; i < placed.size(); ++i) {
+        const Machine& m = cluster_->machines()[static_cast<size_t>(placed[i])];
+        const double util = placed_util[i];
         util_stats.Add(util);
         speed_sum += cluster_->catalog()
                          .sku(static_cast<size_t>(m.sku_index))
@@ -242,11 +239,6 @@ Result<JobRun> TokenScheduler::Execute(const JobGroupSpec& group,
       ++run.vertex_retries;
     }
 
-    if (stage_time > slowest_stage) {
-      slowest_stage = stage_time;
-      slowest_stage_idx = run.skyline.size();
-    }
-
     // Skyline: the job holds `used` tokens for this stage's duration.
     const int used = parallelism;
     run.skyline.push_back({elapsed, used});
@@ -261,8 +253,6 @@ Result<JobRun> TokenScheduler::Execute(const JobGroupSpec& group,
   // Rare events (service disruptions, token revocation, network
   // degradation): hotter clusters disrupt more often. The hit stretches
   // the whole job by a heavy-tailed factor.
-  (void)slowest_stage;
-  (void)slowest_stage_idx;
   const double event_prob =
       group.rare_event_prob * (0.5 + run.cluster_baseline_util);
   if (rng->Bernoulli(std::min(event_prob, 0.5))) {

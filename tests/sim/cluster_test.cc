@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "stats/descriptive.h"
 
@@ -155,6 +159,79 @@ TEST(ClusterTest, PlacementHonorsSkuPreference) {
     skus.insert(cluster.machines()[static_cast<size_t>(id)].sku_index);
   }
   EXPECT_GT(skus.size(), 3u);
+}
+
+TEST(ClusterTest, SkuUtilizationMatchesPerMachineQueries) {
+  Cluster cluster = MakeDefaultCluster(3);
+  for (size_t s = 0; s < cluster.catalog().NumSkus(); ++s) {
+    const std::vector<int>& ids = cluster.MachinesOfSku(static_cast<int>(s));
+    for (double t : {0.0, 299.9, 300.0, 43210.5, 3.5e6}) {
+      // SkuUtilization's subsample (every step-th machine) and its
+      // accumulation order.
+      const size_t step = std::max<size_t>(1, ids.size() / 64);
+      double sum = 0.0, sumsq = 0.0;
+      int n = 0;
+      for (size_t i = 0; i < ids.size(); i += step) {
+        const double u = cluster.MachineUtilization(ids[i], t);
+        sum += u;
+        sumsq += u * u;
+        ++n;
+      }
+      const double mu = sum / n;
+      double mean = -1.0, stddev = -1.0;
+      cluster.SkuUtilization(static_cast<int>(s), t, &mean, &stddev);
+      EXPECT_EQ(mean, mu) << "sku " << s << " t " << t;
+      EXPECT_EQ(stddev, std::sqrt(std::max(0.0, sumsq / n - mu * mu)))
+          << "sku " << s << " t " << t;
+    }
+  }
+}
+
+TEST(ClusterTest, PlacementReportsChosenMachinesUtilization) {
+  Cluster cluster = MakeDefaultCluster(4);
+  const int sku = cluster.catalog().IndexOf("Gen4");
+  for (double t : {0.0, 1000.0, 61234.5}) {
+    for (double greed : {0.0, 1.5, 4.0}) {
+      Rng with_util(99), without_util(99);
+      std::vector<double> util = {7.0};  // stale contents are replaced
+      const std::vector<int> placed = cluster.SamplePlacement(
+          200, t, greed, sku, 0.4, &with_util, &util);
+      // Asking for utilizations changes neither the draws nor the choice.
+      EXPECT_EQ(placed, cluster.SamplePlacement(200, t, greed, sku, 0.4,
+                                                &without_util));
+      EXPECT_EQ(with_util.Next(), without_util.Next());
+      ASSERT_EQ(util.size(), placed.size());
+      for (size_t i = 0; i < placed.size(); ++i) {
+        EXPECT_EQ(util[i], cluster.MachineUtilization(placed[i], t));
+      }
+    }
+  }
+}
+
+TEST(MachineNoiseTest, SplitKeyMatchesRecordedValues) {
+  // Values recorded from the single-step hash the split replaced:
+  // HashCombine(HashCombine(seed, id), bucket) mapped to [-1, 1].
+  struct Golden {
+    uint64_t seed;
+    int machine_id;
+    int64_t bucket;
+    uint64_t bits;
+  };
+  const Golden kGolden[] = {
+      {1234, 0, 0, 0x3fe1313f9afeebbaULL},
+      {1234, 2339, 14399, 0x3fd4913ab07f23c0ULL},
+      {77, 5, -3, 0xbfe842f6e1ac1a40ULL},
+      {0xFFFFFFFFFFFFFFFFULL, 1, int64_t{1} << 40, 0xbfc552b090214238ULL},
+      {1234 ^ 0x5157ULL, -1, 288, 0xbfda8f0263e26064ULL},
+  };
+  for (const Golden& g : kGolden) {
+    const double split =
+        BucketNoise(MachineNoiseKey(g.seed, g.machine_id), g.bucket);
+    EXPECT_EQ(std::bit_cast<uint64_t>(split), g.bits);
+    EXPECT_EQ(std::bit_cast<uint64_t>(
+                  MachineNoise(g.seed, g.machine_id, g.bucket)),
+              g.bits);
+  }
 }
 
 TEST(MachineNoiseTest, DeterministicAndBounded) {

@@ -4,6 +4,7 @@
 // violate telemetry invariants go through the normal Ingest quarantine.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <string>
@@ -80,8 +81,13 @@ TEST(TelemetryCsvTest, RoundTripsLosslessly) {
 }
 
 TEST(TelemetryCsvTest, FileExportImportRoundTrips) {
+  // A per-test, per-process file: ctest -j runs tests as concurrent
+  // processes, and a shared fixed path lets one remove another's file.
   const std::string path =
-      (std::filesystem::temp_directory_path() / "rvar_telemetry.csv")
+      (std::filesystem::temp_directory_path() /
+       (std::string("rvar_telemetry_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "_" + std::to_string(::getpid()) + ".csv"))
           .string();
   TelemetryStore store = MakeStore(10, 6);
   ASSERT_TRUE(store.ExportCsv(path, kSkus).ok());
