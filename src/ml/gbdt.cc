@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <queue>
 #include <utility>
@@ -56,19 +58,44 @@ struct LeafCandidate {
 // the result is bit-identical at any thread count.
 
 // Reusable cross-tree training workspace: the histogram pool (buffers,
-// occupancy masks, free list) and the interleaved (grad, hess) pairs.
-// One Fit trains num_rounds * K trees over the same binned layout, so the
-// multi-hundred-KB pool buffers allocated (and zeroed) for the first tree
-// are recycled by every later one instead of being reallocated per tree —
-// which would otherwise dominate single-thread training with page-fault
-// memsets. The pool invariant (cells outside a buffer's mask are exactly
-// zero) survives Release/Acquire across trees because a buffer keeps its
-// last occupant's mask until the next occupant clears through it.
+// occupancy masks, free list) and the interleaved (grad, hess) pairs of
+// the tree being built. One Fit trains num_rounds * K trees over the same
+// binned layout, so the multi-hundred-KB pool buffers allocated (and
+// zeroed) for a workspace's first tree are recycled by every later one
+// instead of being reallocated per tree — which would otherwise dominate
+// training with page-fault memsets. The pool invariant (cells outside a
+// buffer's mask are exactly zero) survives Release/Acquire across trees
+// because a buffer keeps its last occupant's mask until the next occupant
+// clears through it; so which workspace builds a tree never changes it.
 struct GbdtWorkspace {
   std::vector<std::vector<double>> pool;
   std::vector<std::vector<uint64_t>> pool_mask;
   std::vector<size_t> free_list;
   std::vector<double> gh;
+};
+
+// The workspaces of one Fit call, shared by the concurrent class-tree
+// tasks of each round. A task takes one for the duration of its tree and
+// gives it back, so at most one workspace exists per thread running the
+// region (never one per class), and each is reused across rounds.
+class GbdtWorkspaceList {
+ public:
+  std::unique_ptr<GbdtWorkspace> Take() {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (free_.empty()) return std::make_unique<GbdtWorkspace>();
+    std::unique_ptr<GbdtWorkspace> ws = std::move(free_.back());
+    free_.pop_back();
+    return ws;
+  }
+
+  void Give(std::unique_ptr<GbdtWorkspace> ws) {
+    std::lock_guard<std::mutex> lk(mu_);
+    free_.push_back(std::move(ws));
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::unique_ptr<GbdtWorkspace>> free_;
 };
 
 class GbdtTreeBuilder {
@@ -81,20 +108,17 @@ class GbdtTreeBuilder {
     // route identically to threshold comparisons on the raw doubles
     // (dataset.h: Bin(f, v) <= b exactly when v <= UpperEdge(f, b)).
     std::vector<uint8_t> split_bin;
+    // (feature, gain) of every split, in the order the splits were made;
+    // the caller folds them into the model's feature importance.
+    std::vector<std::pair<int, double>> split_gains;
   };
 
+  // Builds on ws->gh, the interleaved (grad, hess) pairs of every row,
+  // which the caller fills before Build: the accumulation kernels read one
+  // sample's pair as a single 128-bit load.
   GbdtTreeBuilder(const BinnedDataset& data, const GbdtConfig& config,
-                  const std::vector<double>& grad,
-                  const std::vector<double>& hess,
-                  const std::vector<uint8_t>& feature_mask,
-                  std::vector<double>* importance, GbdtWorkspace* ws)
-      : data_(data),
-        config_(config),
-        grad_(grad),
-        hess_(hess),
-        feature_mask_(feature_mask),
-        importance_(importance),
-        ws_(*ws) {
+                  const std::vector<uint8_t>& feature_mask, GbdtWorkspace* ws)
+      : data_(data), config_(config), feature_mask_(feature_mask), ws_(*ws) {
     // Histogram layout: feature f's bins start at kHistCellStride *
     // offset_[f], with bin b's (grad, hess, count, pad) quad interleaved
     // at kHistCellStride * b — one cache line per sample update, and a
@@ -113,20 +137,13 @@ class GbdtTreeBuilder {
     total_bins_ = total;
     max_bins_ = max_bins;
     mask_stride_ = (max_bins + 63) / 64;
-    // Interleaved (grad, hess) pairs: the accumulation kernels read one
-    // sample's pair as a single 128-bit load. Resize is a no-op after the
-    // workspace's first tree; every entry is overwritten.
-    ws_.gh.resize(2 * grad.size());
-    for (size_t r = 0; r < grad.size(); ++r) {
-      ws_.gh[2 * r] = grad[r];
-      ws_.gh[2 * r + 1] = hess[r];
-    }
   }
 
   BuiltTree Build(std::vector<size_t> sample_idx) {
     idx_ = std::move(sample_idx);
     tree_.nodes.clear();
     split_bin_.clear();
+    split_gains_.clear();
     // A tree with L leaves holds 2L-1 nodes; reserving up front keeps
     // NewLeaf from reallocating the node vector mid-growth.
     const size_t max_nodes =
@@ -150,7 +167,10 @@ class GbdtTreeBuilder {
     while (!heap.empty() && num_leaves < config_.max_leaves) {
       LeafCandidate cand = heap.top();
       heap.pop();
-      if (cand.gain < config_.min_gain) break;
+      if (cand.gain < config_.min_gain) {
+        ReleaseHist(cand.hist);
+        break;
+      }
 
       // Partition the span on the chosen (feature, bin).
       const std::vector<uint8_t>& col =
@@ -165,9 +185,7 @@ class GbdtTreeBuilder {
         continue;
       }
 
-      if (importance_ != nullptr) {
-        (*importance_)[static_cast<size_t>(cand.feature)] += cand.gain;
-      }
+      split_gains_.emplace_back(cand.feature, cand.gain);
 
       const size_t node_id = static_cast<size_t>(cand.node_id);
       tree_.nodes[node_id].feature = cand.feature;
@@ -223,14 +241,17 @@ class GbdtTreeBuilder {
     }
     // Candidates still queued when growth stops (leaf cap, gain cutoff)
     // hold pooled buffers; return them so the next tree's builder finds
-    // the whole pool on the shared workspace's free list.
+    // the whole pool on the workspace's free list.
     while (!heap.empty()) {
       ReleaseHist(heap.top().hist);
       heap.pop();
     }
+    RVAR_CHECK_EQ(ws_.free_list.size(), ws_.pool.size())
+        << "histogram buffer not returned to the workspace pool";
     BuiltTree out;
     out.tree = std::move(tree_);
     out.split_bin = std::move(split_bin_);
+    out.split_gains = std::move(split_gains_);
     return out;
   }
 
@@ -272,8 +293,8 @@ class GbdtTreeBuilder {
         [&](size_t b, size_t e) {
           GH local;
           for (size_t i = begin + b; i < begin + e; ++i) {
-            local.g += grad_[idx_[i]];
-            local.h += hess_[idx_[i]];
+            local.g += ws_.gh[2 * idx_[i]];
+            local.h += ws_.gh[2 * idx_[i] + 1];
           }
           return local;
         },
@@ -574,20 +595,19 @@ class GbdtTreeBuilder {
 
   const BinnedDataset& data_;
   const GbdtConfig& config_;
-  const std::vector<double>& grad_;
-  const std::vector<double>& hess_;
   const std::vector<uint8_t>& feature_mask_;
-  std::vector<double>* importance_;
   std::vector<size_t> idx_;
   Tree tree_;
   std::vector<uint8_t> split_bin_;  // aligned with tree_.nodes
+  std::vector<std::pair<int, double>> split_gains_;
   std::vector<size_t> offset_;
   size_t total_bins_ = 0;
   size_t max_bins_ = 0;
   size_t mask_stride_ = 0;
-  // Shared per-Fit scratch (gh pairs + histogram pool); see GbdtWorkspace.
-  // Build() returns every pooled buffer to the free list before exiting,
-  // so the next tree starts from a fully recycled pool.
+  // Scratch this builder holds exclusively (gh pairs + histogram pool);
+  // see GbdtWorkspace. Build() returns every pooled buffer to the free
+  // list before exiting (and checks it did), so the next tree built on
+  // the workspace starts from a fully recycled pool.
   GbdtWorkspace& ws_;
 };
 
@@ -781,8 +801,6 @@ Status GbdtClassifier::FitImpl(const Dataset& train, const Dataset* valid,
   }
   Rng rng(config_.seed);
 
-  std::vector<double> grad(n), hess(n);
-
   // Early-stopping state: validation rows are binned once, and their raw
   // scores advance incrementally with each round's K new trees — O(rounds)
   // tree traversals in total instead of O(rounds^2) re-predictions.
@@ -817,9 +835,8 @@ Status GbdtClassifier::FitImpl(const Dataset& train, const Dataset* valid,
   int best_round = 0;
   int rounds_without_improvement = 0;
 
-  // One workspace for the whole Fit: the histogram pool and gh pairs the
-  // first tree allocates are recycled by all num_rounds * K later trees.
-  GbdtWorkspace ws;
+  GbdtWorkspaceList workspaces;
+  std::vector<GbdtTreeBuilder::BuiltTree> built(kc);
   for (int round = 0; round < config_.num_rounds; ++round) {
     // Per-tree row bagging (without replacement) and feature subsampling,
     // shared across the K class trees of this round.
@@ -857,37 +874,68 @@ Status GbdtClassifier::FitImpl(const Dataset& train, const Dataset* valid,
       }
     });
 
-    for (size_t k = 0; k < kc; ++k) {
-      ParallelFor(n, /*grain=*/2048, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
+    // The K class trees of a round depend only on round_proba, sample_idx
+    // and feature_mask, so they are built concurrently, one class per
+    // chunk (DESIGN.md §8). Each tree is built on one thread — the
+    // builder's inner ParallelFor/ParallelReduce calls run inline inside
+    // the region, with unchanged chunking — so every tree is bit-identical
+    // to a serial build. Tasks write only their own built[k] and the
+    // workspace they hold.
+    ParallelFor(kc, /*grain=*/1, [&](size_t kbegin, size_t kend) {
+      std::unique_ptr<GbdtWorkspace> ws = workspaces.Take();
+      ws->gh.resize(2 * n);
+      for (size_t k = kbegin; k < kend; ++k) {
+        for (size_t i = 0; i < n; ++i) {
           const double p = round_proba[i * kc + k];
           const double target =
               static_cast<size_t>(train.y[i]) == k ? 1.0 : 0.0;
-          grad[i] = p - target;
-          hess[i] = std::max(p * (1.0 - p), 1e-9);
+          ws->gh[2 * i] = p - target;
+          ws->gh[2 * i + 1] = std::max(p * (1.0 - p), 1e-9);
         }
-      });
-      GbdtTreeBuilder builder(binned, config_, grad, hess, feature_mask,
-                              &importance_, &ws);
-      GbdtTreeBuilder::BuiltTree built = builder.Build(sample_idx);
-      // Update scores with the new tree (all rows, not just the bag) by
-      // bin-index traversal over the already-binned columns, through the
-      // dispatched blocked-traversal kernel. One add per row, so any
-      // blocking is bit-identical to a per-row walk.
-      const BinnedTreeArrays flat_tree(built);
-      const BinnedTreeView tree_view = flat_tree.View();
-      ParallelFor(n, /*grain=*/2048, [&](size_t begin, size_t end) {
-        kern.binned_accumulate(tree_view, col_ptrs.data(), begin, end,
-                               scores.data() + k, kc);
-      });
-      if (track_valid) {
-        ParallelFor(valid->NumRows(), /*grain=*/512,
-                    [&](size_t begin, size_t end) {
-          kern.binned_accumulate(tree_view, valid_col_ptrs.data(), begin,
-                                 end, valid_scores.data() + k, kc);
-        });
+        GbdtTreeBuilder builder(binned, config_, feature_mask, ws.get());
+        built[k] = builder.Build(sample_idx);
       }
-      trees_[k].push_back(std::move(built.tree));
+      workspaces.Give(std::move(ws));
+    });
+
+    // Split gains fold in class order, then split order: the same sequence
+    // of adds a serial class loop makes, so importance is bit-identical.
+    for (const GbdtTreeBuilder::BuiltTree& b : built) {
+      for (const auto& [feature, gain] : b.split_gains) {
+        importance_[static_cast<size_t>(feature)] += gain;
+      }
+    }
+
+    // Update scores with the K new trees (all rows, not just the bag) by
+    // bin-index traversal over the already-binned columns, through the
+    // dispatched blocked-traversal kernel, in one row-parallel pass: all
+    // K classes of a row share a cache line of scores, so per-class tasks
+    // would false-share it. Each (row, class) slot gets exactly one add,
+    // so any blocking is bit-identical to a per-row walk.
+    std::vector<BinnedTreeArrays> flat_trees;
+    flat_trees.reserve(kc);
+    for (const GbdtTreeBuilder::BuiltTree& b : built) {
+      flat_trees.emplace_back(b);
+    }
+    const auto accumulate = [&](const std::vector<const uint8_t*>& cols,
+                                std::vector<double>* out, size_t begin,
+                                size_t end) {
+      for (size_t k = 0; k < kc; ++k) {
+        kern.binned_accumulate(flat_trees[k].View(), cols.data(), begin, end,
+                               out->data() + k, kc);
+      }
+    };
+    ParallelFor(n, /*grain=*/2048, [&](size_t begin, size_t end) {
+      accumulate(col_ptrs, &scores, begin, end);
+    });
+    if (track_valid) {
+      ParallelFor(valid->NumRows(), /*grain=*/512,
+                  [&](size_t begin, size_t end) {
+        accumulate(valid_col_ptrs, &valid_scores, begin, end);
+      });
+    }
+    for (size_t k = 0; k < kc; ++k) {
+      trees_[k].push_back(std::move(built[k].tree));
     }
 
     if (track_valid) {

@@ -7,6 +7,7 @@
 #include "common/csv.h"
 #include "common/hash.h"
 #include "common/table.h"
+#include "unique_temp_dir.h"
 
 namespace rvar {
 namespace {
@@ -104,7 +105,8 @@ TEST(CsvTest, AccumulatesRows) {
 TEST(CsvTest, WriteToFileRoundTrip) {
   CsvWriter w;
   w.AddRow({"a", "b"});
-  const std::string path = testing::TempDir() + "/rvar_csv_test.csv";
+  const UniqueTempDir dir;
+  const std::string path = dir.File("csv_test.csv");
   ASSERT_TRUE(w.WriteToFile(path).ok());
   std::ifstream in(path);
   std::string line;

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "io/serialize.h"
 #include "ml/dataset.h"
 #include "sim/faults.h"
+#include "unique_temp_dir.h"
 
 namespace rvar {
 namespace core {
@@ -42,16 +42,6 @@ ml::Dataset Window(int phase, int n_per_class, uint64_t seed) {
 
 class LifecycleChaosTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("rvar_lifecycle_chaos_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name())))
-               .string();
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   ModelLifecycleOptions Options() const {
     ModelLifecycleOptions options;
@@ -62,7 +52,8 @@ class LifecycleChaosTest : public ::testing::Test {
     return options;
   }
 
-  std::string dir_;
+  UniqueTempDir temp_;
+  const std::string dir_ = temp_.str();
 };
 
 // Crash between TrainCandidate and ValidateAndSwap: the process dies with

@@ -19,6 +19,7 @@
 #include "io/model_registry.h"
 #include "io/serialize.h"
 #include "ml/dataset.h"
+#include "unique_temp_dir.h"
 
 namespace rvar {
 namespace core {
@@ -45,19 +46,7 @@ ml::Dataset Window(int phase, int n_per_class, uint64_t seed) {
 
 class ModelLifecycleTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("rvar_lifecycle_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name())))
-               .string();
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override {
-    SetParallelThreads(0);
-    std::filesystem::remove_all(dir_);
-  }
+  void TearDown() override { SetParallelThreads(0); }
 
   ModelLifecycleOptions Options() const {
     ModelLifecycleOptions options;
@@ -68,7 +57,8 @@ class ModelLifecycleTest : public ::testing::Test {
     return options;
   }
 
-  std::string dir_;
+  UniqueTempDir temp_;
+  const std::string dir_ = temp_.str();
 };
 
 TEST_F(ModelLifecycleTest, OpenRejectsBadOptions) {
@@ -258,7 +248,7 @@ TEST_F(ModelLifecycleTest, CandidateBytesIdenticalAtAnyThreadCount) {
   std::vector<std::string> images;
   for (int threads : {1, 8}) {
     SetParallelThreads(threads);
-    const std::string dir = dir_ + "_t" + std::to_string(threads);
+    const std::string dir = temp_.File("t" + std::to_string(threads));
     std::filesystem::remove_all(dir);
     ModelLifecycleOptions options = Options();
     options.dir = dir;
@@ -282,7 +272,7 @@ TEST_F(ModelLifecycleTest, WarmStartedCandidateIdenticalAtAnyThreadCount) {
   std::vector<std::string> images;
   for (int threads : {1, 8}) {
     SetParallelThreads(threads);
-    const std::string dir = dir_ + "_t" + std::to_string(threads);
+    const std::string dir = temp_.File("t" + std::to_string(threads));
     std::filesystem::remove_all(dir);
     ModelLifecycleOptions options = Options();
     options.dir = dir;

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "unique_temp_dir.h"
+
 namespace rvar {
 namespace core {
 namespace {
@@ -144,8 +146,9 @@ TEST(TelemetryCsvTest, ExportsHeaderAndRows) {
   // Exactly header + 1 data row.
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 2);
   // File round trip.
-  const std::string path = testing::TempDir() + "/rvar_telemetry.csv";
-  EXPECT_TRUE(store.ExportCsv(path, {"GenA", "GenB"}).ok());
+  const UniqueTempDir dir;
+  EXPECT_TRUE(
+      store.ExportCsv(dir.File("telemetry.csv"), {"GenA", "GenB"}).ok());
 }
 
 }  // namespace

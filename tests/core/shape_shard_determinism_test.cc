@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,6 +20,7 @@
 #include "core/shape_service.h"
 #include "io/serialize.h"
 #include "sim/faults.h"
+#include "unique_temp_dir.h"
 
 namespace rvar {
 namespace core {
@@ -145,10 +145,8 @@ TEST_F(ShapeShardDeterminismTest, KillAndRestoreAcrossShardCounts) {
   constexpr int kObs = 20;
   auto origin = BuildService(16, kGroups, kObs, /*threads=*/4);
 
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "rvar_shard_restore_test";
-  std::filesystem::create_directories(dir);
-  const std::string path = (dir / "shape_service.snap").string();
+  const UniqueTempDir dir;
+  const std::string path = dir.File("shape_service.snap");
   ASSERT_TRUE(io::SaveShapeServiceState(*origin, path).ok());
 
   const std::string image = io::EncodeShapeServiceState(*origin);
@@ -193,9 +191,6 @@ TEST_F(ShapeShardDeterminismTest, KillAndRestoreAcrossShardCounts) {
   EXPECT_GT(refused, 0);
   EXPECT_EQ((*target)->NumGroups(), 1u);
   EXPECT_EQ((*target)->GroupCount(3), 1);
-
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
 }
 
 // Sketch-focused determinism (ISSUE 10): with enough observations per

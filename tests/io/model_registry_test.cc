@@ -17,6 +17,7 @@
 #include "ml/dataset.h"
 #include "ml/gbdt.h"
 #include "sim/faults.h"
+#include "unique_temp_dir.h"
 
 namespace rvar {
 namespace io {
@@ -24,16 +25,6 @@ namespace {
 
 class ModelRegistryTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("rvar_model_registry_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name())))
-               .string();
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   // A small fitted GBDT encoded through the snapshot codec; `seed` varies
   // the data so distinct versions hold distinct bytes.
@@ -66,7 +57,8 @@ class ModelRegistryTest : public ::testing::Test {
     return m;
   }
 
-  std::string dir_;
+  UniqueTempDir temp_;
+  const std::string dir_ = temp_.str();
 };
 
 TEST_F(ModelRegistryTest, FreshDirectoryStartsEmpty) {

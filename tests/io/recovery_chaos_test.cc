@@ -24,6 +24,7 @@
 #include "io/wal.h"
 #include "sim/faults.h"
 #include "sim/telemetry.h"
+#include "unique_temp_dir.h"
 
 namespace rvar {
 namespace io {
@@ -116,14 +117,8 @@ void ExpectStatesBitIdentical(const ServingState& reference,
 
 class RecoveryChaosTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    root_ = (std::filesystem::temp_directory_path() / "rvar_chaos_test")
-                .string();
-    std::filesystem::remove_all(root_);
-  }
-  void TearDown() override { std::filesystem::remove_all(root_); }
-
-  std::string root_;
+  UniqueTempDir dir_;
+  const std::string root_ = dir_.str();
 };
 
 TEST_F(RecoveryChaosTest, KillAndRestartMatchesNeverCrashedRun) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -13,6 +12,7 @@
 #include "ml/dataset.h"
 #include "sim/datasets.h"
 #include "sim/faults.h"
+#include "unique_temp_dir.h"
 
 namespace rvar {
 namespace io {
@@ -119,15 +119,13 @@ TEST(SerializeShapeLibraryTest, RoundTripsBitIdentically) {
 }
 
 TEST(SerializeShapeLibraryTest, SaveLoadFile) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rvar_lib_snapshot")
-          .string();
+  const UniqueTempDir dir;
+  const std::string path = dir.File("lib_snapshot");
   core::ShapeLibrary library = MakeLibrary();
   ASSERT_TRUE(SaveShapeLibrary(library, path).ok());
   auto restored = LoadShapeLibrary(path);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   ExpectLibrariesIdentical(library, *restored);
-  std::filesystem::remove(path);
 }
 
 TEST(SerializeShapeLibraryTest, RejectsWrongPayloadKind) {
@@ -314,16 +312,14 @@ TEST(SerializeShapeServiceTest, SaveLoadFileAndDefects) {
   auto service = core::ShapeService::Make(&library);
   ASSERT_TRUE(service.ok());
   ASSERT_TRUE((*service)->Observe(2, 1.1).ok());
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rvar_shape_service_state")
-          .string();
+  const UniqueTempDir dir;
+  const std::string path = dir.File("shape_service_state");
   ASSERT_TRUE(SaveShapeServiceState(**service, path).ok());
   auto states = LoadShapeServiceState(path);
   ASSERT_TRUE(states.ok()) << states.status().ToString();
   ASSERT_EQ(states->size(), 1u);
   EXPECT_EQ((*states)[0].group_id, 2);
   EXPECT_EQ((*states)[0].count, 1);
-  std::filesystem::remove(path);
 
   // Corruption anywhere in the image is caught by the snapshot CRCs.
   const std::string image = EncodeShapeServiceState(**service);

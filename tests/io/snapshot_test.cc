@@ -8,16 +8,11 @@
 
 #include "io/codec.h"
 #include "io/crc32.h"
+#include "unique_temp_dir.h"
 
 namespace rvar {
 namespace io {
 namespace {
-
-std::string TempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::string("rvar_snapshot_test_") + name))
-      .string();
-}
 
 TEST(Crc32Test, MatchesKnownVector) {
   // The canonical CRC-32 (IEEE) check value.
@@ -181,24 +176,26 @@ TEST(SnapshotTest, DefectNamesAreDistinct) {
 }
 
 TEST(AtomicWriteTest, RoundTripsAndReplaces) {
-  const std::string path = TempPath("atomic");
+  const UniqueTempDir dir;
+  const std::string path = dir.File("atomic");
   ASSERT_TRUE(AtomicWriteFile(path, "first contents").ok());
   EXPECT_EQ(*ReadFileToString(path), "first contents");
   ASSERT_TRUE(AtomicWriteFile(path, "second").ok());
   EXPECT_EQ(*ReadFileToString(path), "second");
   // No temp file left behind.
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  std::filesystem::remove(path);
 }
 
 TEST(AtomicWriteTest, MissingFileIsNotFound) {
-  auto missing = ReadFileToString(TempPath("never_written"));
+  const UniqueTempDir dir;
+  auto missing = ReadFileToString(dir.File("never_written"));
   EXPECT_FALSE(missing.ok());
   EXPECT_TRUE(missing.status().IsNotFound()) << missing.status().ToString();
 }
 
 TEST(SnapshotTest, WriteFileRoundTrips) {
-  const std::string path = TempPath("container");
+  const UniqueTempDir dir;
+  const std::string path = dir.File("container");
   SnapshotWriter writer(PayloadKind::kGbdtClassifier);
   writer.AddRecord("abc");
   ASSERT_TRUE(writer.WriteFile(path).ok());
@@ -207,7 +204,6 @@ TEST(SnapshotTest, WriteFileRoundTrips) {
   auto reader = SnapshotReader::Open(*bytes, PayloadKind::kGbdtClassifier);
   ASSERT_TRUE(reader.ok());
   EXPECT_EQ(*reader->Record(0), "abc");
-  std::filesystem::remove(path);
 }
 
 }  // namespace

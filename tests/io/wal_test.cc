@@ -7,6 +7,7 @@
 #include <string>
 
 #include "io/snapshot.h"
+#include "unique_temp_dir.h"
 
 namespace rvar {
 namespace io {
@@ -14,27 +15,13 @@ namespace {
 
 class WalTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // One directory per test: ctest runs each TEST_F as its own process,
-    // possibly concurrently, and a shared path would let one test's
-    // remove_all delete another's live WAL.
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = (std::filesystem::temp_directory_path() /
-            (std::string("rvar_wal_test_") + info->name()))
-               .string();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-    path_ = dir_ + "/wal-000001";
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   void AppendRaw(const std::string& bytes) {
     std::ofstream out(path_, std::ios::binary | std::ios::app);
     out << bytes;
   }
 
-  std::string dir_;
-  std::string path_;
+  UniqueTempDir dir_;
+  const std::string path_ = dir_.File("wal-000001");
 };
 
 TEST_F(WalTest, AppendAndScanRoundTrip) {

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
@@ -24,6 +23,7 @@
 #include "ml/dataset.h"
 #include "serve/frontend.h"
 #include "sim/datasets.h"
+#include "unique_temp_dir.h"
 
 namespace rvar {
 namespace serve {
@@ -61,17 +61,6 @@ class OverloadChaosTest : public ::testing::Test {
     suite_ = nullptr;
   }
 
-  void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("rvar_serve_chaos_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name())))
-               .string();
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   // A lifecycle-compatible retrain window: the predictor's own kept
   // features with its predicted shapes as labels. Every class 0..K-1 is
   // guaranteed present (rows are re-labeled round-robin at the tail), so
@@ -105,7 +94,8 @@ class OverloadChaosTest : public ::testing::Test {
 
   static sim::StudySuite* suite_;
   static core::VariationPredictor* predictor_;
-  std::string dir_;
+  UniqueTempDir temp_;
+  const std::string dir_ = temp_.str();
 };
 
 sim::StudySuite* OverloadChaosTest::suite_ = nullptr;

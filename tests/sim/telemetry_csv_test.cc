@@ -4,7 +4,6 @@
 // violate telemetry invariants go through the normal Ingest quarantine.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <string>
@@ -12,6 +11,7 @@
 
 #include "common/rng.h"
 #include "sim/telemetry.h"
+#include "unique_temp_dir.h"
 
 namespace rvar {
 namespace sim {
@@ -81,14 +81,8 @@ TEST(TelemetryCsvTest, RoundTripsLosslessly) {
 }
 
 TEST(TelemetryCsvTest, FileExportImportRoundTrips) {
-  // A per-test, per-process file: ctest -j runs tests as concurrent
-  // processes, and a shared fixed path lets one remove another's file.
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       (std::string("rvar_telemetry_") +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-        "_" + std::to_string(::getpid()) + ".csv"))
-          .string();
+  const UniqueTempDir dir;
+  const std::string path = dir.File("telemetry.csv");
   TelemetryStore store = MakeStore(10, 6);
   ASSERT_TRUE(store.ExportCsv(path, kSkus).ok());
   auto restored = TelemetryStore::ImportCsv(path, kSkus);
