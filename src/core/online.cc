@@ -3,16 +3,36 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/strings.h"
 
 namespace rvar {
 namespace core {
 
+Status CheckObservation(int group_id, double normalized_runtime) {
+  if (group_id < 0) {
+    // A group keyed by a negative id would export a snapshot that restore
+    // (ids >= 0) refuses to load.
+    return Status::InvalidArgument(
+        StrCat("group_id must be >= 0, got ", group_id));
+  }
+  if (!std::isfinite(normalized_runtime)) {
+    // The tracker would clamp or drop the sample silently while the caller
+    // saw OK, hiding a corrupt feed.
+    return Status::InvalidArgument(
+        StrCat("normalized_runtime must be finite, got ", normalized_runtime));
+  }
+  return Status::OK();
+}
+
 OnlineShapeTracker::OnlineShapeTracker(
     const ShapeLibrary* library, std::shared_ptr<const ClusterLogPmf> log_pmf,
-    double decay)
-    : library_(library), decay_(decay), log_pmf_(std::move(log_pmf)) {
+    double decay, KllSketch sketch)
+    : library_(library),
+      decay_(decay),
+      log_pmf_(std::move(log_pmf)),
+      sketch_(std::move(sketch)) {
   ll_.assign(static_cast<size_t>(log_pmf_->num_clusters()), 0.0);
 }
 
@@ -28,7 +48,7 @@ Result<OnlineShapeTracker> OnlineShapeTracker::Make(
 
 Result<OnlineShapeTracker> OnlineShapeTracker::Make(
     const ShapeLibrary* library, std::shared_ptr<const ClusterLogPmf> log_pmf,
-    double decay) {
+    double decay, int sketch_k) {
   if (library == nullptr) {
     return Status::InvalidArgument("null shape library");
   }
@@ -47,7 +67,9 @@ Result<OnlineShapeTracker> OnlineShapeTracker::Make(
     return Status::InvalidArgument(
         StrCat("decay must be in (0,1], got ", decay));
   }
-  return OnlineShapeTracker(library, std::move(log_pmf), decay);
+  RVAR_ASSIGN_OR_RETURN(KllSketch sketch, KllSketch::Make(sketch_k));
+  return OnlineShapeTracker(library, std::move(log_pmf), decay,
+                            std::move(sketch));
 }
 
 void OnlineShapeTracker::Observe(double normalized_runtime) {
@@ -61,6 +83,7 @@ void OnlineShapeTracker::Observe(double normalized_runtime) {
   for (size_t c = 0; c < ll_.size(); ++c) {
     ll_[c] = decay_ * ll_[c] + log_pmf_->row(static_cast<int>(c))[bin];
   }
+  sketch_.UpdateClamped(library_->grid(), normalized_runtime);
   ++count_;
 }
 
@@ -90,16 +113,19 @@ double OnlineShapeTracker::ProbabilityOf(int cluster) const {
   return Posterior()[static_cast<size_t>(cluster)];
 }
 
-Status OnlineShapeTracker::RestoreState(
-    const std::vector<double>& log_likelihood, int64_t count,
-    int64_t num_clamped) {
-  if (log_likelihood.size() != ll_.size()) {
+GroupState OnlineShapeTracker::ExportState(int group_id) const {
+  return GroupState{group_id, ll_, count_, num_clamped_, sketch_};
+}
+
+Status OnlineShapeTracker::RestoreState(GroupState state) {
+  if (state.log_likelihood.size() != ll_.size()) {
     return Status::InvalidArgument(
-        StrCat("restore holds ", log_likelihood.size(),
+        StrCat("group ", state.group_id, " restore holds ",
+               state.log_likelihood.size(),
                " log-likelihood sums, library has ", ll_.size(),
                " clusters"));
   }
-  for (double v : log_likelihood) {
+  for (double v : state.log_likelihood) {
     if (std::isnan(v) || v > 0.0) {
       // Sums of log-probabilities are <= 0; -inf (all mass at the floor)
       // is possible under extreme decay so only NaN and positives reject.
@@ -107,12 +133,21 @@ Status OnlineShapeTracker::RestoreState(
           "restored log-likelihood sums must be non-positive");
     }
   }
-  if (count < 0 || num_clamped < 0) {
+  if (state.count < 0 || state.num_clamped < 0) {
     return Status::InvalidArgument("restored counters must be >= 0");
   }
-  ll_ = log_likelihood;
-  count_ = count;
-  num_clamped_ = num_clamped;
+  if (state.sketch.n() != state.count) {
+    // A NaN observation bumps num_clamped but neither count nor the
+    // sketch, and everything else lands in both, so the two tallies agree
+    // in any state Observe could have produced.
+    return Status::InvalidArgument(
+        StrCat("group ", state.group_id, " sketch holds ", state.sketch.n(),
+               " observations but the tracker counted ", state.count));
+  }
+  ll_ = std::move(state.log_likelihood);
+  count_ = state.count;
+  num_clamped_ = state.num_clamped;
+  sketch_ = std::move(state.sketch);
   return Status::OK();
 }
 
@@ -120,6 +155,7 @@ void OnlineShapeTracker::Reset() {
   std::fill(ll_.begin(), ll_.end(), 0.0);
   count_ = 0;
   num_clamped_ = 0;
+  sketch_ = *KllSketch::Make(sketch_.k());
 }
 
 }  // namespace core

@@ -1,7 +1,6 @@
 #include "core/shape_service.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/check.h"
@@ -88,8 +87,9 @@ Result<std::unique_ptr<ShapeService>> ShapeService::Make(
   RVAR_ASSIGN_OR_RETURN(
       std::shared_ptr<const ClusterLogPmf> table,
       ClusterLogPmf::MakeShared(*library, options.pmf_floor));
-  RVAR_RETURN_NOT_OK(
-      OnlineShapeTracker::Make(library, table, options.decay).status());
+  RVAR_RETURN_NOT_OK(OnlineShapeTracker::Make(library, table, options.decay,
+                                              options.sketch_k)
+                         .status());
   return std::unique_ptr<ShapeService>(
       new ShapeService(library, options, std::move(table)));
 }
@@ -120,21 +120,10 @@ std::unique_lock<std::mutex> ShapeService::LockShard(
 
 Status ShapeService::Observe(int group_id, double normalized_runtime) {
   obs::ScopedLatencyTimer timer(observe_latency_);
-  if (group_id < 0) {
-    // Reject at the boundary and count it: a tracker keyed by a negative
-    // id would export a snapshot RestoreState (ids >= 0) refuses to load,
-    // turning a legitimate checkpoint into a restore failure.
+  if (Status bad = CheckObservation(group_id, normalized_runtime);
+      !bad.ok()) {
     observe_rejected_->Increment();
-    return Status::InvalidArgument(
-        StrCat("group_id must be >= 0, got ", group_id));
-  }
-  if (!std::isfinite(normalized_runtime)) {
-    // Reject at the service boundary: the tracker would clamp or drop the
-    // sample silently while the caller saw OK, hiding a corrupt feed.
-    observe_rejected_->Increment();
-    return Status::InvalidArgument(
-        StrCat("normalized_runtime must be finite, got ",
-               normalized_runtime));
+    return bad;
   }
   observe_total_->Increment();
   const size_t shard_index = ShardIndexFor(group_id);
@@ -146,13 +135,12 @@ Status ShapeService::Observe(int group_id, double normalized_runtime) {
     it = shard.groups
              .emplace(group_id,
                       GroupEntry(*OnlineShapeTracker::Make(
-                                     library_, log_pmf_, options_.decay),
-                                 *KllSketch::Make(options_.sketch_k)))
+                          library_, log_pmf_, options_.decay,
+                          options_.sketch_k)))
              .first;
   }
   GroupEntry& entry = it->second;
   entry.tracker.Observe(normalized_runtime);
-  entry.sketch.UpdateClamped(library_->grid(), normalized_runtime);
   ++entry.version;  // invalidates any cached reconstruction
   ++shard.total_observations;
   return Status::OK();
@@ -203,7 +191,7 @@ const ShapeService::CacheEntry& ShapeService::ReconstructLocked(
     slot = &shard.reconstruct_scratch;
   }
   slot->version = entry.version;
-  entry.sketch.BinCountsInto(library_->grid(), &slot->counts);
+  entry.tracker.sketch().BinCountsInto(library_->grid(), &slot->counts);
   // Equation 9 over the reconstructed counts: argmax_c sum_h n_h log
   // theta_h^c. With decay 1 and an exact-mode sketch this recovers the
   // tracker's running-sum argmax — the counts are the same tallies the
@@ -231,7 +219,7 @@ int ShapeService::PriorShape(int group_id) const {
   Shard& shard = shards_[shard_index];
   std::unique_lock<std::mutex> lock = LockShard(shard_index);
   const auto it = shard.groups.find(group_id);
-  if (it == shard.groups.end() || it->second.sketch.empty()) {
+  if (it == shard.groups.end() || it->second.tracker.count() == 0) {
     return global_prior_shape_;
   }
   return ReconstructLocked(shard, group_id, it->second).shape;
@@ -347,7 +335,7 @@ std::shared_ptr<const ml::GbdtClassifier> ShapeService::ModelSnapshotForShard(
   return std::atomic_load(&shards_[shard_index].model);
 }
 
-std::vector<ShapeService::GroupState> ShapeService::ExportState() const {
+std::vector<GroupState> ShapeService::ExportState() const {
   // Lock every shard (in index order, the only order used) so the export
   // is a point-in-time cut: no concurrent Observe lands halfway. Plain
   // locks — maintenance traffic must not pollute the contention counters
@@ -365,13 +353,7 @@ std::vector<ShapeService::GroupState> ShapeService::ExportState() const {
   std::vector<GroupState> states;
   for (size_t s = 0; s < num_shards_; ++s) {
     for (const auto& [gid, entry] : shards_[s].groups) {
-      GroupState state;
-      state.group_id = gid;
-      state.log_likelihood = entry.tracker.log_likelihood();
-      state.count = entry.tracker.count();
-      state.num_clamped = entry.tracker.num_clamped();
-      state.sketch.emplace(entry.sketch);
-      states.push_back(std::move(state));
+      states.push_back(entry.tracker.ExportState(gid));
     }
   }
   std::sort(states.begin(), states.end(),
@@ -391,33 +373,12 @@ Status ShapeService::RestoreState(const std::vector<GroupState>& states) {
       return Status::InvalidArgument(
           StrCat("restored group_id must be >= 0, got ", state.group_id));
     }
-    if (!state.sketch.has_value()) {
-      return Status::InvalidArgument(
-          StrCat("restored group ", state.group_id,
-                 " carries no quantile sketch"));
-    }
-    if (state.sketch->k() != options_.sketch_k) {
-      return Status::InvalidArgument(
-          StrCat("restored group ", state.group_id, " sketch has k=",
-                 state.sketch->k(), ", service expects k=",
-                 options_.sketch_k));
-    }
-    if (state.sketch->n() != state.count) {
-      // Observe feeds every accepted sample to both the tracker and the
-      // sketch, so a divergent pair cannot have come from ExportState.
-      return Status::InvalidArgument(
-          StrCat("restored group ", state.group_id, " sketch holds ",
-                 state.sketch->n(), " observations but tracker count is ",
-                 state.count));
-    }
-    auto tracker = OnlineShapeTracker::Make(library_, log_pmf_,
-                                            options_.decay);
-    RVAR_RETURN_NOT_OK(tracker.status());
-    RVAR_RETURN_NOT_OK(tracker->RestoreState(state.log_likelihood,
-                                             state.count, state.num_clamped));
-    restored.emplace_back(
-        state.group_id,
-        GroupEntry(std::move(*tracker), KllSketch(*state.sketch)));
+    RVAR_ASSIGN_OR_RETURN(
+        OnlineShapeTracker tracker,
+        OnlineShapeTracker::Make(library_, log_pmf_, options_.decay,
+                                 options_.sketch_k));
+    RVAR_RETURN_NOT_OK(tracker.RestoreState(state));
+    restored.emplace_back(state.group_id, GroupEntry(std::move(tracker)));
   }
   for (size_t i = 1; i < restored.size(); ++i) {
     if (restored[i].first <= restored[i - 1].first) {

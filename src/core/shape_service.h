@@ -1,9 +1,11 @@
 // Copyright 2026 The rvar Authors.
 //
 // Thread-safe serving facade over per-group OnlineShapeTracker state
-// (DESIGN.md §13). The serving pipeline observes normalized runtimes for
-// many job groups from many client threads at once. State is partitioned
-// into share-nothing shards by a multiplicative hash of the group id:
+// (DESIGN.md §13). Each group's tracker is its whole state: the running
+// Eq. 3 sums and the KLL sketch the prior rung reconstructs its PMF from.
+// The serving pipeline observes normalized runtimes for many job groups
+// from many client threads at once. State is partitioned into
+// share-nothing shards by a multiplicative hash of the group id:
 // each shard owns its tracker map, its own observation totals, its own
 // obs counters, and its own replica of the published classifier epoch —
 // so the observe/query hot path never takes a lock shared with another
@@ -22,7 +24,6 @@
 
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -31,7 +32,6 @@
 #include "core/shape_library.h"
 #include "ml/gbdt.h"
 #include "obs/metrics.h"
-#include "stats/kll_sketch.h"
 
 namespace rvar {
 namespace core {
@@ -55,9 +55,10 @@ class ShapeService {
     /// Accuracy knob of the per-group quantile sketch (KllSketch top-level
     /// capacity): larger = tighter rank error, more memory. Bounded state
     /// per group is ~2 KB at the default. Must lie in [KllSketch::kMinK,
-    /// KllSketch::kMaxK]; snapshots restore only into a service with the
-    /// same value.
-    int sketch_k = 200;
+    /// KllSketch::kMaxK]. Applies to groups created by Observe; restored
+    /// groups keep the k their snapshot carries (sketches are never
+    /// merged, so mixed k is safe).
+    int sketch_k = KllSketch::kDefaultK;
     /// Per-shard capacity of the reconstructed-PMF cache serving
     /// PriorShape/ReconstructPmf (entries, not bytes; a 200-bin entry is
     /// ~1.7 KB). 0 disables caching. The cache never changes an answer —
@@ -78,10 +79,9 @@ class ShapeService {
 
   /// Incorporates one normalized runtime for `group_id`, creating the
   /// group's tracker on first contact. Never blocks on other shards.
-  /// Negative group ids and non-finite runtimes are rejected with
-  /// InvalidArgument (and counted in shape_service_observe_rejected)
-  /// rather than clamped or dropped: a negative id would create a tracker
-  /// that RestoreState — which requires ids >= 0 — could never reload.
+  /// Inputs that break CheckObservation (negative group ids, non-finite
+  /// runtimes) are rejected with InvalidArgument and counted in
+  /// shape_service_observe_rejected rather than clamped or dropped.
   Status Observe(int group_id, double normalized_runtime);
 
   /// Posterior over shapes for the group; uniform for unknown groups.
@@ -163,41 +163,29 @@ class ShapeService {
   std::shared_ptr<const ml::GbdtClassifier> ModelSnapshotForShard(
       size_t shard_index) const;
 
-  /// One group's checkpointable state (io/serialize.h codec): the
-  /// tracker's discounted sums plus the bounded quantile sketch. The
-  /// sketch is mandatory on restore — RestoreState refuses states without
-  /// one (pre-sketch images fail at decode, not half-load).
-  struct GroupState {
-    int group_id = 0;
-    std::vector<double> log_likelihood;  ///< per-cluster discounted sums
-    int64_t count = 0;
-    int64_t num_clamped = 0;
-    std::optional<KllSketch> sketch;  ///< bounded per-group summary
-  };
-
   /// Point-in-time snapshot of every tracker, ascending by group id (all
   /// shards locked together, so concurrent Observes land entirely before
   /// or entirely after the export). Byte-identical at any shard count.
   /// Maintenance path: does not touch the contention counters.
   std::vector<GroupState> ExportState() const;
 
-  /// Replaces all tracker state with `states` (the restart path). Fully
-  /// validated before anything is touched: on error the service is
-  /// unchanged. Maintenance path: does not touch the contention counters.
+  /// Replaces all tracker state with `states` (the restart path): group
+  /// ids must be >= 0 and strictly ascending, and each state must pass
+  /// OnlineShapeTracker::RestoreState. Fully validated before anything is
+  /// touched: on error the service is unchanged. Maintenance path: does
+  /// not touch the contention counters.
   Status RestoreState(const std::vector<GroupState>& states);
 
   const ShapeLibrary& library() const { return *library_; }
   const Options& options() const { return options_; }
 
  private:
-  /// One tracked group: the running posterior, the bounded quantile
-  /// sketch, and a version stamp bumped on every mutation (the
-  /// reconstruction cache's invalidation key).
+  /// One tracked group: its tracker and a version stamp bumped on every
+  /// mutation (the reconstruction cache's invalidation key).
   struct GroupEntry {
-    GroupEntry(OnlineShapeTracker tracker_in, KllSketch sketch_in)
-        : tracker(std::move(tracker_in)), sketch(std::move(sketch_in)) {}
+    explicit GroupEntry(OnlineShapeTracker tracker_in)
+        : tracker(std::move(tracker_in)) {}
     OnlineShapeTracker tracker;
-    KllSketch sketch;
     uint64_t version = 0;
   };
 

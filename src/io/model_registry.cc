@@ -21,25 +21,6 @@ constexpr const char* kModelPrefix = "model-";
 constexpr const char* kManifestPrefix = "manifest-";
 constexpr const char* kActiveName = "ACTIVE";
 
-std::string NumberedName(const char* prefix, int64_t id) {
-  std::string digits = StrCat(id);
-  while (digits.size() < 6) digits.insert(digits.begin(), '0');
-  return StrCat(prefix, digits);
-}
-
-/// Parses `<prefix><digits>`; -1 when the name does not match.
-int64_t ParseSuffix(const std::string& name, const char* prefix) {
-  const std::string p(prefix);
-  if (name.size() <= p.size() || name.compare(0, p.size(), p) != 0) return -1;
-  int64_t value = 0;
-  for (size_t i = p.size(); i < name.size(); ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return -1;
-    value = value * 10 + (c - '0');
-  }
-  return value;
-}
-
 std::string EncodeManifestImage(const ModelManifest& m) {
   SnapshotWriter snap(PayloadKind::kModelManifest);
   BinaryWriter w;
@@ -158,7 +139,7 @@ Result<ModelRegistry> ModelRegistry::Open(const std::string& dir) {
   int64_t max_seen = 0;
   for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
-    if (int64_t v = ParseSuffix(name, kManifestPrefix); v >= 0) {
+    if (int64_t v = ParseNumberedFileName(name, kManifestPrefix); v >= 0) {
       max_seen = std::max(max_seen, v);
       Result<std::string> bytes = ReadFileToString(entry.path().string());
       if (!bytes.ok()) {
@@ -171,7 +152,7 @@ Result<ModelRegistry> ModelRegistry::Open(const std::string& dir) {
         continue;
       }
       registry.manifests_.emplace(v, std::move(*manifest));
-    } else if (int64_t m = ParseSuffix(name, kModelPrefix); m >= 0) {
+    } else if (int64_t m = ParseNumberedFileName(name, kModelPrefix); m >= 0) {
       // Artifacts without an intact manifest still pin the high-water mark
       // so a crashed half-written version's id is never reused.
       max_seen = std::max(max_seen, m);
@@ -228,11 +209,11 @@ Result<ModelManifest> ModelRegistry::Manifest(int64_t version) const {
 }
 
 std::string ModelRegistry::ModelPath(int64_t version) const {
-  return StrCat(dir_, "/", NumberedName(kModelPrefix, version));
+  return StrCat(dir_, "/", NumberedFileName(kModelPrefix, version));
 }
 
 std::string ModelRegistry::ManifestPath(int64_t version) const {
-  return StrCat(dir_, "/", NumberedName(kManifestPrefix, version));
+  return StrCat(dir_, "/", NumberedFileName(kManifestPrefix, version));
 }
 
 std::string ModelRegistry::ActivePath() const {

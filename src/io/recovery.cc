@@ -1,12 +1,10 @@
 #include "io/recovery.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <system_error>
 #include <utility>
 
-#include "common/check.h"
 #include "common/strings.h"
 #include "io/codec.h"
 #include "io/serialize.h"
@@ -61,28 +59,6 @@ struct RecoveryMetrics {
 constexpr char kSnapshotPrefix[] = "snapshot-";
 constexpr char kWalPrefix[] = "wal-";
 
-/// Parses the numeric suffix of "prefix-NNNNNN" names; -1 if malformed.
-int64_t ParseSuffix(const std::string& name, const char* prefix) {
-  const size_t prefix_len = std::string(prefix).size();
-  if (name.size() <= prefix_len || name.compare(0, prefix_len, prefix) != 0) {
-    return -1;
-  }
-  int64_t value = 0;
-  for (size_t i = prefix_len; i < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return -1;
-    value = value * 10 + (name[i] - '0');
-  }
-  return value;
-}
-
-std::string NumberedPath(const std::string& dir, const char* prefix,
-                         int64_t number) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%06lld",
-                static_cast<long long>(number));
-  return StrCat(dir, "/", prefix, buf);
-}
-
 void RemoveQuietly(const std::string& path) {
   std::error_code ec;
   fs::remove(path, ec);  // best-effort; a leftover file is re-pruned later
@@ -103,6 +79,8 @@ std::string EncodeObservation(uint64_t seq, int group_id, double value) {
   return w.TakeBytes();
 }
 
+/// Fails on a malformed frame and on an observation that breaks the
+/// boundary rule (core::CheckObservation), which Observe never logs.
 Result<WalObservation> DecodeObservation(std::string_view payload) {
   BinaryReader r(payload);
   WalObservation obs;
@@ -113,6 +91,7 @@ Result<WalObservation> DecodeObservation(std::string_view payload) {
     return Status::InvalidArgument(
         StrCat("observation record has ", r.remaining(), " trailing bytes"));
   }
+  RVAR_RETURN_NOT_OK(core::CheckObservation(obs.group_id, obs.value));
   return obs;
 }
 
@@ -127,8 +106,8 @@ struct DecodedState {
 //   record 0: watermark seq, next WAL segment id, tracker decay/floor,
 //             tracker count
 //   record 1: the full shape-library snapshot image, nested verbatim
-//   record 2..: one tracker per record (group id, counters, ll sums,
-//               then the group's KLL sketch — serialize.h wire format)
+//   record 2..: one per-group record each (serialize.h EncodeGroupRecord,
+//               the same record the kShapeServiceState image holds)
 Result<DecodedState> DecodeServingState(std::string bytes) {
   RVAR_ASSIGN_OR_RETURN(
       SnapshotReader reader,
@@ -174,38 +153,17 @@ Result<DecodedState> DecodeServingState(std::string bytes) {
   for (uint64_t i = 0; i < num_trackers; ++i) {
     RVAR_ASSIGN_OR_RETURN(std::string_view rec,
                           reader.Record(static_cast<size_t>(i) + 2));
-    BinaryReader r(rec);
-    int gid = 0;
-    int64_t count = 0;
-    int64_t clamped = 0;
-    std::vector<double> ll;
-    RVAR_ASSIGN_OR_RETURN(gid, r.ReadI32());
-    RVAR_ASSIGN_OR_RETURN(count, r.ReadI64());
-    RVAR_ASSIGN_OR_RETURN(clamped, r.ReadI64());
-    RVAR_ASSIGN_OR_RETURN(ll, r.ReadDoubleVector());
-    RVAR_ASSIGN_OR_RETURN(KllSketch sketch, DecodeKllSketchFrom(&r));
-    if (!r.AtEnd()) {
-      return Status::InvalidArgument(
-          StrCat("tracker record for group ", gid, " has trailing bytes"));
-    }
-    // A NaN observation bumps num_clamped but neither count nor the
-    // sketch, and everything else lands in both — so the two tallies
-    // agree in any state this process could have written.
-    if (sketch.n() != count) {
-      return Status::InvalidArgument(
-          StrCat("group ", gid, " sketch holds ", sketch.n(),
-                 " samples but the tracker counted ", count));
-    }
+    RVAR_ASSIGN_OR_RETURN(core::GroupState group, DecodeGroupRecord(rec));
+    const int gid = group.group_id;
     RVAR_ASSIGN_OR_RETURN(
         core::OnlineShapeTracker tracker,
         core::OnlineShapeTracker::Make(decoded.state.library.get(), log_pmf,
                                        decay));
-    RVAR_RETURN_NOT_OK(tracker.RestoreState(ll, count, clamped));
+    RVAR_RETURN_NOT_OK(tracker.RestoreState(std::move(group)));
     if (!decoded.state.trackers.emplace(gid, std::move(tracker)).second) {
       return Status::InvalidArgument(
           StrCat("group ", gid, " appears twice in the snapshot"));
     }
-    decoded.state.sketches.emplace(gid, std::move(sketch));
   }
   return decoded;
 }
@@ -277,9 +235,11 @@ Result<RecoveryManager> RecoveryManager::Open(const std::string& dir,
   RecoveryManager manager(dir, options);
   for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
-    if (int64_t gen = ParseSuffix(name, kSnapshotPrefix); gen >= 0) {
+    if (int64_t gen = ParseNumberedFileName(name, kSnapshotPrefix);
+        gen >= 0) {
       manager.snapshot_generations_.push_back(gen);
-    } else if (int64_t seg = ParseSuffix(name, kWalPrefix); seg >= 0) {
+    } else if (int64_t seg = ParseNumberedFileName(name, kWalPrefix);
+               seg >= 0) {
       manager.wal_segments_.push_back(static_cast<uint64_t>(seg));
     }
   }
@@ -303,11 +263,12 @@ Result<RecoveryManager> RecoveryManager::Open(const std::string& dir,
 }
 
 std::string RecoveryManager::SnapshotPath(int64_t gen) const {
-  return NumberedPath(dir_, kSnapshotPrefix, gen);
+  return StrCat(dir_, "/", NumberedFileName(kSnapshotPrefix, gen));
 }
 
 std::string RecoveryManager::WalPath(uint64_t segment) const {
-  return NumberedPath(dir_, kWalPrefix, static_cast<int64_t>(segment));
+  return StrCat(dir_, "/",
+                NumberedFileName(kWalPrefix, static_cast<int64_t>(segment)));
 }
 
 Status RecoveryManager::Bootstrap(core::ShapeLibrary library) {
@@ -321,7 +282,8 @@ Status RecoveryManager::Bootstrap(core::ShapeLibrary library) {
   }
   state_.library = std::make_unique<core::ShapeLibrary>(std::move(library));
   state_.trackers.clear();
-  state_.sketches.clear();
+  RVAR_ASSIGN_OR_RETURN(log_pmf_, core::ClusterLogPmf::MakeShared(
+                                      *state_.library, options_.pmf_floor));
   last_seq_ = 0;
   live_ = true;
   const Status checkpoint = Checkpoint();
@@ -367,6 +329,10 @@ Result<RecoveryReport> RecoveryManager::Recover() {
                      [&](int64_t g) { return g > loaded_gen; }),
       snapshot_generations_.end());
   state_ = std::move(decoded.state);
+  // Restored trackers keep the decay, floor and sketch k their snapshot
+  // carries; groups created from here on use the options.
+  RVAR_ASSIGN_OR_RETURN(log_pmf_, core::ClusterLogPmf::MakeShared(
+                                      *state_.library, options_.pmf_floor));
   latest_generation_ = loaded_gen;
   first_segment_after_[loaded_gen] = decoded.next_wal_segment;
   report.snapshot_generation = loaded_gen;
@@ -457,17 +423,11 @@ Status RecoveryManager::ApplyObservation(int group_id, double value) {
   if (it == state_.trackers.end()) {
     RVAR_ASSIGN_OR_RETURN(
         core::OnlineShapeTracker tracker,
-        core::OnlineShapeTracker::Make(state_.library.get(), options_.decay,
-                                       options_.pmf_floor));
-    RVAR_ASSIGN_OR_RETURN(KllSketch sketch, KllSketch::Make(options_.sketch_k));
+        core::OnlineShapeTracker::Make(state_.library.get(), log_pmf_,
+                                       options_.decay, options_.sketch_k));
     it = state_.trackers.emplace(group_id, std::move(tracker)).first;
-    state_.sketches.emplace(group_id, std::move(sketch));
   }
   it->second.Observe(value);
-  // UpdateClamped mirrors the tracker's non-finite handling (NaN dropped,
-  // +/-inf clamped to the grid edge), keeping sketch.n() == count — the
-  // invariant DecodeServingState enforces.
-  state_.sketches.at(group_id).UpdateClamped(state_.library->grid(), value);
   return Status::OK();
 }
 
@@ -476,6 +436,7 @@ Status RecoveryManager::Observe(int group_id, double normalized_runtime) {
     return Status::FailedPrecondition(
         "Observe requires live state (Bootstrap() or Recover() first)");
   }
+  RVAR_RETURN_NOT_OK(core::CheckObservation(group_id, normalized_runtime));
   const uint64_t seq = last_seq_ + 1;
   const std::string record =
       EncodeObservation(seq, group_id, normalized_runtime);
@@ -502,15 +463,7 @@ Status RecoveryManager::WriteSnapshot(int64_t generation,
   }
   snap.AddRecord(EncodeShapeLibrary(*state_.library));
   for (const auto& [gid, tracker] : state_.trackers) {
-    const auto sketch_it = state_.sketches.find(gid);
-    RVAR_CHECK(sketch_it != state_.sketches.end());
-    BinaryWriter w;
-    w.PutI32(gid);
-    w.PutI64(tracker.count());
-    w.PutI64(tracker.num_clamped());
-    w.PutDoubleVector(tracker.log_likelihood());
-    EncodeKllSketchInto(sketch_it->second, &w);
-    snap.AddRecord(w.bytes());
+    snap.AddRecord(EncodeGroupRecord(tracker.ExportState(gid)));
   }
   const std::string image = snap.Finish();
   RecoveryMetrics::Get().snapshot_bytes_total->Increment(
@@ -522,7 +475,7 @@ Status RecoveryManager::RotateWal() {
   const uint64_t seg = next_segment_id_++;
   RVAR_ASSIGN_OR_RETURN(
       WalWriter writer,
-      WalWriter::Create(WalPath(seg), seg, options_.sync_each_append));
+      WalWriter::Create(WalPath(seg), seg, /*sync_each_append=*/true));
   wal_ = std::make_unique<WalWriter>(std::move(writer));
   wal_segments_.push_back(seg);
   return Status::OK();

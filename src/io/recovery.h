@@ -2,13 +2,15 @@
 //
 // Crash-safe persistence for the serving state (DESIGN.md §7): the shape
 // library plus the per-group online trackers that accumulate streaming
-// observations. Observations are appended to a checksummed WAL as they
-// arrive; Checkpoint() writes a versioned snapshot generation atomically
-// and rotates the WAL; Recover() rebuilds the state after a crash by
-// loading the newest intact snapshot generation and replaying the WAL tail
-// — truncating torn writes, dropping duplicated/reordered/stale records,
-// and reporting exact per-reason counts of everything it repaired
-// (mirroring the TelemetryStore quarantine accounting).
+// observations (each tracker is the group's whole state: running sums and
+// KLL sketch, core/online.h). Observations are appended to a checksummed
+// WAL as they arrive; Checkpoint() writes a versioned snapshot generation
+// atomically and rotates the WAL; Recover() rebuilds the state after a
+// crash by loading the newest intact snapshot generation and replaying
+// the WAL tail — truncating torn writes, dropping duplicated, reordered,
+// stale and malformed records, and reporting exact per-reason counts of
+// everything it repaired (mirroring the TelemetryStore quarantine
+// accounting).
 
 #ifndef RVAR_IO_RECOVERY_H_
 #define RVAR_IO_RECOVERY_H_
@@ -70,12 +72,9 @@ struct ServingState {
   /// unique_ptr so the trackers' library pointer stays stable across
   /// moves of the ServingState itself.
   std::unique_ptr<core::ShapeLibrary> library;
-  /// Ordered by group id (deterministic checkpoint images).
+  /// One tracker (sums, counters and sketch) per group, ordered by group
+  /// id (deterministic checkpoint images).
   std::map<int, core::OnlineShapeTracker> trackers;
-  /// One bounded quantile sketch per tracked group, same keys as
-  /// `trackers`: the per-group distribution summary that survives restarts
-  /// alongside the discounted log-likelihood sums.
-  std::map<int, KllSketch> sketches;
 };
 
 /// \brief Owns a state directory of snapshot generations and WAL segments.
@@ -88,20 +87,17 @@ struct ServingState {
 class RecoveryManager {
  public:
   struct Options {
-    /// Tracker decay / floor used for groups first seen via Observe.
+    /// Tracker decay, floor and sketch k for groups first seen via
+    /// Observe. Restored groups keep the values their snapshot carries,
+    /// so a directory written under one setting recovers intact under
+    /// another (sketches are never merged, so mixed k is safe); only new
+    /// groups pick up a changed setting.
     double decay = 1.0;
     double pmf_floor = 1e-6;
-    /// KllSketch accuracy knob for per-group sketches created on first
-    /// sight. Snapshots embed each sketch's own k, so a directory written
-    /// with one value recovers intact under another; only new groups pick
-    /// up the changed setting.
-    int sketch_k = 200;
+    int sketch_k = KllSketch::kDefaultK;
     /// Snapshot generations retained after a checkpoint (>= 1). Older
     /// generations and the WAL segments they would replay are pruned.
     int keep_snapshots = 2;
-    /// fsync after every Append (the durability the torn-tail recovery
-    /// test relies on); disable only for throughput benchmarks.
-    bool sync_each_append = true;
   };
 
   /// Creates the directory if needed and scans it for existing files.
@@ -124,8 +120,12 @@ class RecoveryManager {
   /// holds no snapshot; IOError if every generation is corrupt.
   Result<RecoveryReport> Recover();
 
-  /// Durably logs one observation and applies it to the group's tracker
-  /// (created on first sight). Requires a live state.
+  /// Durably logs one observation (every append is fsynced) and applies
+  /// it to the group's tracker (created on first sight). Requires a live
+  /// state. Inputs that break core::CheckObservation (negative group ids,
+  /// non-finite runtimes) are rejected with InvalidArgument before the
+  /// WAL append, as ShapeService::Observe rejects them; Recover counts a
+  /// logged one as kWalBadPayload and skips it.
   Status Observe(int group_id, double normalized_runtime);
 
   /// Writes the next snapshot generation atomically, rotates the WAL, and
@@ -159,6 +159,9 @@ class RecoveryManager {
   std::string dir_;
   Options options_;
   ServingState state_;
+  /// Log theta table shared by every group created after Bootstrap() or
+  /// Recover() (built from options_.pmf_floor).
+  std::shared_ptr<const core::ClusterLogPmf> log_pmf_;
   bool live_ = false;
 
   std::vector<int64_t> snapshot_generations_;  ///< ascending

@@ -83,13 +83,15 @@ Status ExpectRecordEnd(const BinaryReader& r, const char* what) {
   return Status::OK();
 }
 
+}  // namespace
+
 // --- ShapeLibrary --------------------------------------------------------
 //
 // record 0: config, inertia, num_skipped_groups, num_clusters
 // record 1..k: cluster PMF + ShapeStats
 // record k+1: reference group ids + parallel cluster assignments
 
-std::string EncodeShapeLibraryImage(const core::ShapeLibrary& library) {
+std::string EncodeShapeLibrary(const core::ShapeLibrary& library) {
   SnapshotWriter snap(PayloadKind::kShapeLibrary);
   const core::ShapeLibraryConfig& config = library.config();
   {
@@ -135,8 +137,8 @@ std::string EncodeShapeLibraryImage(const core::ShapeLibrary& library) {
   return snap.Finish();
 }
 
-Result<core::ShapeLibrary> DecodeShapeLibraryImage(std::string bytes,
-                                                   SnapshotDefect* defect) {
+Result<core::ShapeLibrary> DecodeShapeLibrary(std::string bytes,
+                                              SnapshotDefect* defect) {
   RVAR_ASSIGN_OR_RETURN(
       SnapshotReader reader,
       OpenSnapshot(std::move(bytes), PayloadKind::kShapeLibrary, 2, defect));
@@ -222,10 +224,22 @@ Result<core::ShapeLibrary> DecodeShapeLibraryImage(std::string bytes,
                                      num_skipped);
 }
 
+Status SaveShapeLibrary(const core::ShapeLibrary& library,
+                        const std::string& path) {
+  return AtomicWriteFile(path, EncodeShapeLibrary(library));
+}
+
+Result<core::ShapeLibrary> LoadShapeLibrary(const std::string& path) {
+  RVAR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
+  return DecodeShapeLibrary(std::move(bytes));
+}
+
 // --- GBDT ----------------------------------------------------------------
 //
 // record 0: config, num_classes, rounds, base_scores, importance
 // record 1..: one tree per record, class-major ([k][r] order)
+
+namespace {
 
 void EncodeGbdtConfig(const ml::GbdtConfig& c, BinaryWriter* w) {
   w->PutI32(c.num_rounds);
@@ -260,7 +274,9 @@ Status DecodeGbdtConfig(BinaryReader* r, ml::GbdtConfig* c) {
   return Status::OK();
 }
 
-std::string EncodeGbdtImage(const ml::GbdtClassifier& model) {
+}  // namespace
+
+std::string EncodeGbdtClassifier(const ml::GbdtClassifier& model) {
   SnapshotWriter snap(PayloadKind::kGbdtClassifier);
   {
     BinaryWriter w;
@@ -286,8 +302,8 @@ std::string EncodeGbdtImage(const ml::GbdtClassifier& model) {
   return snap.Finish();
 }
 
-Result<ml::GbdtClassifier> DecodeGbdtImage(std::string bytes,
-                                           SnapshotDefect* defect) {
+Result<ml::GbdtClassifier> DecodeGbdtClassifier(std::string bytes,
+                                                SnapshotDefect* defect) {
   RVAR_ASSIGN_OR_RETURN(
       SnapshotReader reader,
       OpenSnapshot(std::move(bytes), PayloadKind::kGbdtClassifier, 1,
@@ -331,11 +347,18 @@ Result<ml::GbdtClassifier> DecodeGbdtImage(std::string bytes,
                                      std::move(trees), std::move(importance));
 }
 
+Status SaveGbdtClassifier(const ml::GbdtClassifier& model,
+                          const std::string& path) {
+  return AtomicWriteFile(path, EncodeGbdtClassifier(model));
+}
+
 // --- Random forests ------------------------------------------------------
 //
 // record 0: config, (num_classes for the classifier), num_trees,
 //           importance
 // record 1..: one tree per record
+
+namespace {
 
 void EncodeForestConfig(const ml::ForestConfig& c, BinaryWriter* w) {
   w->PutI32(c.num_trees);
@@ -430,12 +453,48 @@ Result<ForestParts> DecodeForestImage(std::string bytes, bool classifier,
   return parts;
 }
 
+}  // namespace
+
+std::string EncodeRandomForestClassifier(
+    const ml::RandomForestClassifier& model) {
+  return EncodeForestImage(model.config(), model.num_classes(),
+                           model.trees(), model.feature_importance(),
+                           PayloadKind::kRandomForestClassifier);
+}
+
+Result<ml::RandomForestClassifier> DecodeRandomForestClassifier(
+    std::string bytes, SnapshotDefect* defect) {
+  RVAR_ASSIGN_OR_RETURN(
+      ForestParts parts,
+      DecodeForestImage(std::move(bytes), /*classifier=*/true, defect));
+  return ml::RandomForestClassifier::Restore(
+      parts.config, parts.num_classes, std::move(parts.trees),
+      std::move(parts.importance));
+}
+
+std::string EncodeRandomForestRegressor(
+    const ml::RandomForestRegressor& model) {
+  return EncodeForestImage(model.config(), /*num_classes=*/-1,
+                           model.trees(), model.feature_importance(),
+                           PayloadKind::kRandomForestRegressor);
+}
+
+Result<ml::RandomForestRegressor> DecodeRandomForestRegressor(
+    std::string bytes, SnapshotDefect* defect) {
+  RVAR_ASSIGN_OR_RETURN(
+      ForestParts parts,
+      DecodeForestImage(std::move(bytes), /*classifier=*/false, defect));
+  return ml::RandomForestRegressor::Restore(parts.config,
+                                            std::move(parts.trees),
+                                            std::move(parts.importance));
+}
+
 // --- Featurizer history --------------------------------------------------
 //
 // record 0: group count
 // record 1..: one group per record (id, support, aggregates, SKU mix)
 
-std::string EncodeFeaturizerImage(const core::Featurizer& featurizer) {
+std::string EncodeFeaturizerState(const core::Featurizer& featurizer) {
   SnapshotWriter snap(PayloadKind::kFeaturizerState);
   std::vector<int> gids;
   gids.reserve(featurizer.history().size());
@@ -466,7 +525,7 @@ std::string EncodeFeaturizerImage(const core::Featurizer& featurizer) {
   return snap.Finish();
 }
 
-Status DecodeFeaturizerImage(std::string bytes, core::Featurizer* featurizer,
+Status DecodeFeaturizerState(std::string bytes, core::Featurizer* featurizer,
                              SnapshotDefect* defect) {
   RVAR_ASSIGN_OR_RETURN(
       SnapshotReader reader,
@@ -517,6 +576,8 @@ Status DecodeFeaturizerImage(std::string bytes, core::Featurizer* featurizer,
 //
 // record 0: run count, quarantined count, per-reason quarantine counts
 // record 1..: one JobRun per record (indexed runs, then quarantined)
+
+namespace {
 
 void EncodeJobRun(const sim::JobRun& run, BinaryWriter* w) {
   w->PutI32(run.group_id);
@@ -589,7 +650,9 @@ Result<sim::JobRun> DecodeJobRun(BinaryReader* r) {
   return run;
 }
 
-std::string EncodeTelemetryImage(const sim::TelemetryStore& store) {
+}  // namespace
+
+std::string EncodeTelemetryStore(const sim::TelemetryStore& store) {
   SnapshotWriter snap(PayloadKind::kTelemetryStore);
   {
     BinaryWriter w;
@@ -614,7 +677,7 @@ std::string EncodeTelemetryImage(const sim::TelemetryStore& store) {
   return snap.Finish();
 }
 
-Result<sim::TelemetryStore> DecodeTelemetryImage(std::string bytes,
+Result<sim::TelemetryStore> DecodeTelemetryStore(std::string bytes,
                                                  SnapshotDefect* defect) {
   RVAR_ASSIGN_OR_RETURN(
       SnapshotReader reader,
@@ -670,7 +733,9 @@ Result<sim::TelemetryStore> DecodeTelemetryImage(std::string bytes,
   return store;
 }
 
-// --- KllSketch (bit-cast helpers + standalone container) -----------------
+// --- KllSketch -----------------------------------------------------------
+
+namespace {
 
 uint32_t FloatBits(float v) {
   uint32_t bits;
@@ -684,255 +749,7 @@ float FloatFromBits(uint32_t bits) {
   return v;
 }
 
-// record 0: the embedded sketch encoding (EncodeKllSketchInto)
-std::string EncodeKllSketchImage(const KllSketch& sketch) {
-  SnapshotWriter snap(PayloadKind::kKllSketch);
-  BinaryWriter w;
-  EncodeKllSketchInto(sketch, &w);
-  snap.AddRecord(w.bytes());
-  return snap.Finish();
-}
-
-Result<KllSketch> DecodeKllSketchImage(std::string bytes,
-                                       SnapshotDefect* defect) {
-  RVAR_ASSIGN_OR_RETURN(
-      SnapshotReader reader,
-      OpenSnapshot(std::move(bytes), PayloadKind::kKllSketch, 1, defect));
-  if (reader.num_records() != 1) {
-    return Status::InvalidArgument(
-        StrCat("kll-sketch snapshot holds ", reader.num_records(),
-               " records, layout has exactly 1"));
-  }
-  RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(0));
-  BinaryReader r(rec);
-  RVAR_ASSIGN_OR_RETURN(KllSketch sketch, DecodeKllSketchFrom(&r));
-  RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "kll-sketch"));
-  return sketch;
-}
-
-// --- ShapeServiceState ---------------------------------------------------
-//
-// record 0: number of group states
-// record 1..n: group id, observation count, clamp count, ll sums, and the
-//              group's quantile sketch (embedded KllSketch encoding)
-//
-// Records follow ExportState's order — ascending group id, after the
-// deterministic per-shard merge — so the encoded image is byte-identical
-// at any shard count and a snapshot written by an S-shard service
-// restores into any other shard count (the shard-determinism suite pins
-// this). Pre-sketch images fail to decode (their records end before the
-// sketch fields), rather than half-loading without sketches.
-
-std::string EncodeShapeServiceImage(const core::ShapeService& service) {
-  const std::vector<core::ShapeService::GroupState> states =
-      service.ExportState();
-  SnapshotWriter snap(PayloadKind::kShapeServiceState);
-  {
-    BinaryWriter w;
-    w.PutU64(states.size());
-    snap.AddRecord(w.bytes());
-  }
-  for (const core::ShapeService::GroupState& state : states) {
-    BinaryWriter w;
-    w.PutI32(state.group_id);
-    w.PutI64(state.count);
-    w.PutI64(state.num_clamped);
-    w.PutDoubleVector(state.log_likelihood);
-    RVAR_CHECK(state.sketch.has_value());  // ExportState always fills it
-    EncodeKllSketchInto(*state.sketch, &w);
-    snap.AddRecord(w.bytes());
-  }
-  return snap.Finish();
-}
-
-Result<std::vector<core::ShapeService::GroupState>> DecodeShapeServiceImage(
-    std::string bytes, SnapshotDefect* defect) {
-  RVAR_ASSIGN_OR_RETURN(
-      SnapshotReader reader,
-      OpenSnapshot(std::move(bytes), PayloadKind::kShapeServiceState, 1,
-                   defect));
-  uint64_t num_groups = 0;
-  {
-    RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(0));
-    BinaryReader r(rec);
-    RVAR_ASSIGN_OR_RETURN(num_groups, r.ReadU64());
-    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "shape-service header"));
-  }
-  if (reader.num_records() != num_groups + 1) {
-    return Status::InvalidArgument(
-        StrCat("snapshot promises ", num_groups, " group states but holds ",
-               reader.num_records(), " records"));
-  }
-  std::vector<core::ShapeService::GroupState> states;
-  states.reserve(static_cast<size_t>(num_groups));
-  for (uint64_t i = 0; i < num_groups; ++i) {
-    RVAR_ASSIGN_OR_RETURN(std::string_view rec,
-                          reader.Record(static_cast<size_t>(i) + 1));
-    BinaryReader r(rec);
-    core::ShapeService::GroupState state;
-    RVAR_ASSIGN_OR_RETURN(state.group_id, r.ReadI32());
-    RVAR_ASSIGN_OR_RETURN(state.count, r.ReadI64());
-    RVAR_ASSIGN_OR_RETURN(state.num_clamped, r.ReadI64());
-    RVAR_ASSIGN_OR_RETURN(state.log_likelihood, r.ReadDoubleVector());
-    {
-      RVAR_ASSIGN_OR_RETURN(KllSketch sketch, DecodeKllSketchFrom(&r));
-      state.sketch.emplace(std::move(sketch));
-    }
-    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "group state"));
-    if (state.sketch->n() != state.count) {
-      return Status::InvalidArgument(
-          StrCat("group state ", i, " sketch holds ", state.sketch->n(),
-                 " observations but tracker count is ", state.count));
-    }
-    if (state.group_id < 0) {
-      return Status::InvalidArgument(
-          StrCat("group state ", i, " holds negative group id ",
-                 state.group_id));
-    }
-    if (i > 0 && state.group_id <= states.back().group_id) {
-      return Status::InvalidArgument(
-          "group states must be strictly ascending by group id");
-    }
-    states.push_back(std::move(state));
-  }
-  return states;
-}
-
 }  // namespace
-
-// --- Public wrappers -----------------------------------------------------
-
-std::string EncodeShapeLibrary(const core::ShapeLibrary& library) {
-  return EncodeShapeLibraryImage(library);
-}
-Status SaveShapeLibrary(const core::ShapeLibrary& library,
-                        const std::string& path) {
-  return AtomicWriteFile(path, EncodeShapeLibrary(library));
-}
-Result<core::ShapeLibrary> DecodeShapeLibrary(std::string bytes,
-                                              SnapshotDefect* defect) {
-  return DecodeShapeLibraryImage(std::move(bytes), defect);
-}
-Result<core::ShapeLibrary> LoadShapeLibrary(const std::string& path) {
-  RVAR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return DecodeShapeLibrary(std::move(bytes));
-}
-
-std::string EncodeGbdtClassifier(const ml::GbdtClassifier& model) {
-  return EncodeGbdtImage(model);
-}
-Status SaveGbdtClassifier(const ml::GbdtClassifier& model,
-                          const std::string& path) {
-  return AtomicWriteFile(path, EncodeGbdtClassifier(model));
-}
-Result<ml::GbdtClassifier> DecodeGbdtClassifier(std::string bytes,
-                                                SnapshotDefect* defect) {
-  return DecodeGbdtImage(std::move(bytes), defect);
-}
-Result<ml::GbdtClassifier> LoadGbdtClassifier(const std::string& path) {
-  RVAR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return DecodeGbdtClassifier(std::move(bytes));
-}
-
-std::string EncodeRandomForestClassifier(
-    const ml::RandomForestClassifier& model) {
-  return EncodeForestImage(model.config(), model.num_classes(),
-                           model.trees(), model.feature_importance(),
-                           PayloadKind::kRandomForestClassifier);
-}
-Status SaveRandomForestClassifier(const ml::RandomForestClassifier& model,
-                                  const std::string& path) {
-  return AtomicWriteFile(path, EncodeRandomForestClassifier(model));
-}
-Result<ml::RandomForestClassifier> DecodeRandomForestClassifier(
-    std::string bytes, SnapshotDefect* defect) {
-  RVAR_ASSIGN_OR_RETURN(
-      ForestParts parts,
-      DecodeForestImage(std::move(bytes), /*classifier=*/true, defect));
-  return ml::RandomForestClassifier::Restore(
-      parts.config, parts.num_classes, std::move(parts.trees),
-      std::move(parts.importance));
-}
-Result<ml::RandomForestClassifier> LoadRandomForestClassifier(
-    const std::string& path) {
-  RVAR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return DecodeRandomForestClassifier(std::move(bytes));
-}
-
-std::string EncodeRandomForestRegressor(
-    const ml::RandomForestRegressor& model) {
-  return EncodeForestImage(model.config(), /*num_classes=*/-1,
-                           model.trees(), model.feature_importance(),
-                           PayloadKind::kRandomForestRegressor);
-}
-Status SaveRandomForestRegressor(const ml::RandomForestRegressor& model,
-                                 const std::string& path) {
-  return AtomicWriteFile(path, EncodeRandomForestRegressor(model));
-}
-Result<ml::RandomForestRegressor> DecodeRandomForestRegressor(
-    std::string bytes, SnapshotDefect* defect) {
-  RVAR_ASSIGN_OR_RETURN(
-      ForestParts parts,
-      DecodeForestImage(std::move(bytes), /*classifier=*/false, defect));
-  return ml::RandomForestRegressor::Restore(parts.config,
-                                            std::move(parts.trees),
-                                            std::move(parts.importance));
-}
-Result<ml::RandomForestRegressor> LoadRandomForestRegressor(
-    const std::string& path) {
-  RVAR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return DecodeRandomForestRegressor(std::move(bytes));
-}
-
-std::string EncodeFeaturizerState(const core::Featurizer& featurizer) {
-  return EncodeFeaturizerImage(featurizer);
-}
-Status SaveFeaturizerState(const core::Featurizer& featurizer,
-                           const std::string& path) {
-  return AtomicWriteFile(path, EncodeFeaturizerState(featurizer));
-}
-Status DecodeFeaturizerState(std::string bytes, core::Featurizer* featurizer,
-                             SnapshotDefect* defect) {
-  return DecodeFeaturizerImage(std::move(bytes), featurizer, defect);
-}
-Status LoadFeaturizerState(const std::string& path,
-                           core::Featurizer* featurizer) {
-  RVAR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return DecodeFeaturizerState(std::move(bytes), featurizer);
-}
-
-std::string EncodeTelemetryStore(const sim::TelemetryStore& store) {
-  return EncodeTelemetryImage(store);
-}
-Status SaveTelemetryStore(const sim::TelemetryStore& store,
-                          const std::string& path) {
-  return AtomicWriteFile(path, EncodeTelemetryStore(store));
-}
-Result<sim::TelemetryStore> DecodeTelemetryStore(std::string bytes,
-                                                 SnapshotDefect* defect) {
-  return DecodeTelemetryImage(std::move(bytes), defect);
-}
-Result<sim::TelemetryStore> LoadTelemetryStore(const std::string& path) {
-  RVAR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return DecodeTelemetryStore(std::move(bytes));
-}
-
-std::string EncodeShapeServiceState(const core::ShapeService& service) {
-  return EncodeShapeServiceImage(service);
-}
-Status SaveShapeServiceState(const core::ShapeService& service,
-                             const std::string& path) {
-  return AtomicWriteFile(path, EncodeShapeServiceState(service));
-}
-Result<std::vector<core::ShapeService::GroupState>> DecodeShapeServiceState(
-    std::string bytes, SnapshotDefect* defect) {
-  return DecodeShapeServiceImage(std::move(bytes), defect);
-}
-Result<std::vector<core::ShapeService::GroupState>> LoadShapeServiceState(
-    const std::string& path) {
-  RVAR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return DecodeShapeServiceState(std::move(bytes));
-}
 
 void EncodeKllSketchInto(const KllSketch& sketch, BinaryWriter* w) {
   w->PutU32(static_cast<uint32_t>(sketch.k()));
@@ -989,18 +806,122 @@ Result<KllSketch> DecodeKllSketchFrom(BinaryReader* r) {
                             std::move(items), parity);
 }
 
+// Standalone container. record 0: the embedded sketch encoding.
 std::string EncodeKllSketch(const KllSketch& sketch) {
-  return EncodeKllSketchImage(sketch);
+  SnapshotWriter snap(PayloadKind::kKllSketch);
+  BinaryWriter w;
+  EncodeKllSketchInto(sketch, &w);
+  snap.AddRecord(w.bytes());
+  return snap.Finish();
 }
-Status SaveKllSketch(const KllSketch& sketch, const std::string& path) {
-  return AtomicWriteFile(path, EncodeKllSketch(sketch));
-}
+
 Result<KllSketch> DecodeKllSketch(std::string bytes, SnapshotDefect* defect) {
-  return DecodeKllSketchImage(std::move(bytes), defect);
+  RVAR_ASSIGN_OR_RETURN(
+      SnapshotReader reader,
+      OpenSnapshot(std::move(bytes), PayloadKind::kKllSketch, 1, defect));
+  if (reader.num_records() != 1) {
+    return Status::InvalidArgument(
+        StrCat("kll-sketch snapshot holds ", reader.num_records(),
+               " records, layout has exactly 1"));
+  }
+  RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(0));
+  BinaryReader r(rec);
+  RVAR_ASSIGN_OR_RETURN(KllSketch sketch, DecodeKllSketchFrom(&r));
+  RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "kll-sketch"));
+  return sketch;
 }
-Result<KllSketch> LoadKllSketch(const std::string& path) {
+
+// --- Per-group record ----------------------------------------------------
+//
+// group id, observation count, clamp count, ll sums, then the group's
+// quantile sketch (embedded KllSketch encoding). Pre-sketch records end
+// before the sketch fields and fail to decode rather than half-loading.
+
+std::string EncodeGroupRecord(const core::GroupState& state) {
+  BinaryWriter w;
+  w.PutI32(state.group_id);
+  w.PutI64(state.count);
+  w.PutI64(state.num_clamped);
+  w.PutDoubleVector(state.log_likelihood);
+  EncodeKllSketchInto(state.sketch, &w);
+  return w.TakeBytes();
+}
+
+Result<core::GroupState> DecodeGroupRecord(std::string_view record) {
+  BinaryReader r(record);
+  RVAR_ASSIGN_OR_RETURN(int group_id, r.ReadI32());
+  RVAR_ASSIGN_OR_RETURN(int64_t count, r.ReadI64());
+  RVAR_ASSIGN_OR_RETURN(int64_t num_clamped, r.ReadI64());
+  RVAR_ASSIGN_OR_RETURN(std::vector<double> ll, r.ReadDoubleVector());
+  RVAR_ASSIGN_OR_RETURN(KllSketch sketch, DecodeKllSketchFrom(&r));
+  RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "group state"));
+  return core::GroupState{group_id, std::move(ll), count, num_clamped,
+                          std::move(sketch)};
+}
+
+// --- ShapeServiceState ---------------------------------------------------
+//
+// record 0: number of group states
+// record 1..n: one per-group record each
+//
+// Records follow ExportState's order — ascending group id, after the
+// deterministic per-shard merge — so the encoded image is byte-identical
+// at any shard count and a snapshot written by an S-shard service
+// restores into any other shard count (the shard-determinism suite pins
+// this).
+
+std::string EncodeShapeServiceState(const core::ShapeService& service) {
+  const std::vector<core::GroupState> states = service.ExportState();
+  SnapshotWriter snap(PayloadKind::kShapeServiceState);
+  {
+    BinaryWriter w;
+    w.PutU64(states.size());
+    snap.AddRecord(w.bytes());
+  }
+  for (const core::GroupState& state : states) {
+    snap.AddRecord(EncodeGroupRecord(state));
+  }
+  return snap.Finish();
+}
+
+Result<std::vector<core::GroupState>> DecodeShapeServiceState(
+    std::string bytes, SnapshotDefect* defect) {
+  RVAR_ASSIGN_OR_RETURN(
+      SnapshotReader reader,
+      OpenSnapshot(std::move(bytes), PayloadKind::kShapeServiceState, 1,
+                   defect));
+  uint64_t num_groups = 0;
+  {
+    RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(0));
+    BinaryReader r(rec);
+    RVAR_ASSIGN_OR_RETURN(num_groups, r.ReadU64());
+    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "shape-service header"));
+  }
+  if (reader.num_records() != num_groups + 1) {
+    return Status::InvalidArgument(
+        StrCat("snapshot promises ", num_groups, " group states but holds ",
+               reader.num_records(), " records"));
+  }
+  std::vector<core::GroupState> states;
+  states.reserve(static_cast<size_t>(num_groups));
+  for (uint64_t i = 0; i < num_groups; ++i) {
+    RVAR_ASSIGN_OR_RETURN(std::string_view rec,
+                          reader.Record(static_cast<size_t>(i) + 1));
+    RVAR_ASSIGN_OR_RETURN(core::GroupState state, DecodeGroupRecord(rec));
+    states.push_back(std::move(state));
+  }
+  return states;
+}
+
+Status SaveShapeServiceState(const core::ShapeService& service,
+                             const std::string& path) {
+  return AtomicWriteFile(path, EncodeShapeServiceState(service));
+}
+
+Result<std::vector<core::GroupState>> LoadShapeServiceState(
+    const std::string& path) {
   RVAR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return DecodeKllSketch(std::move(bytes));
+  return DecodeShapeServiceState(std::move(bytes));
 }
 
 }  // namespace io

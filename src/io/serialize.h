@@ -1,17 +1,19 @@
 // Copyright 2026 The rvar Authors.
 //
-// Save/Load for the serving-state components: the shape library, the
-// fitted ml models, the featurizer's per-group history, and the telemetry
-// store. Each type gets its own snapshot PayloadKind and record layout
-// (DESIGN.md §7); every Load goes through SnapshotReader (checksums) and
-// the type's Restore factory (semantic invariants), so a load either
-// reproduces the saved object exactly or returns a descriptive Status —
-// it never crashes and never yields a half-valid object.
+// Snapshot codecs for the serving-state components: the shape library,
+// the fitted ml models, the featurizer's per-group history, the telemetry
+// store, and the per-group shape state. Each type gets its own snapshot
+// PayloadKind and record layout (DESIGN.md §7); every Decode goes through
+// SnapshotReader (checksums) and the type's Restore factory (semantic
+// invariants), so a decode either reproduces the encoded object exactly
+// or returns a descriptive Status — it never crashes and never yields a
+// half-valid object.
 
 #ifndef RVAR_IO_SERIALIZE_H_
 #define RVAR_IO_SERIALIZE_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -30,81 +32,49 @@ namespace rvar {
 namespace io {
 
 // Each Encode* returns a complete snapshot file image (header + records);
-// Save* persists it atomically; Decode* validates the image and rebuilds
-// the object; Load* reads the file and decodes. Decode reports the
+// Decode* validates the image and rebuilds the object. Decode reports the
 // container-level defect through `defect` when non-null (kNone when the
-// container was intact but the payload failed semantic validation).
+// container was intact but the payload failed semantic validation). Save*
+// persists an image atomically and Load* reads a file and decodes it, for
+// the types something stores as a standalone file.
 
 std::string EncodeShapeLibrary(const core::ShapeLibrary& library);
-Status SaveShapeLibrary(const core::ShapeLibrary& library,
-                        const std::string& path);
 Result<core::ShapeLibrary> DecodeShapeLibrary(
     std::string bytes, SnapshotDefect* defect = nullptr);
+Status SaveShapeLibrary(const core::ShapeLibrary& library,
+                        const std::string& path);
 Result<core::ShapeLibrary> LoadShapeLibrary(const std::string& path);
 
 std::string EncodeGbdtClassifier(const ml::GbdtClassifier& model);
-Status SaveGbdtClassifier(const ml::GbdtClassifier& model,
-                          const std::string& path);
 Result<ml::GbdtClassifier> DecodeGbdtClassifier(
     std::string bytes, SnapshotDefect* defect = nullptr);
-Result<ml::GbdtClassifier> LoadGbdtClassifier(const std::string& path);
+Status SaveGbdtClassifier(const ml::GbdtClassifier& model,
+                          const std::string& path);
 
 std::string EncodeRandomForestClassifier(
     const ml::RandomForestClassifier& model);
-Status SaveRandomForestClassifier(const ml::RandomForestClassifier& model,
-                                  const std::string& path);
 Result<ml::RandomForestClassifier> DecodeRandomForestClassifier(
     std::string bytes, SnapshotDefect* defect = nullptr);
-Result<ml::RandomForestClassifier> LoadRandomForestClassifier(
-    const std::string& path);
 
 std::string EncodeRandomForestRegressor(
     const ml::RandomForestRegressor& model);
-Status SaveRandomForestRegressor(const ml::RandomForestRegressor& model,
-                                 const std::string& path);
 Result<ml::RandomForestRegressor> DecodeRandomForestRegressor(
     std::string bytes, SnapshotDefect* defect = nullptr);
-Result<ml::RandomForestRegressor> LoadRandomForestRegressor(
-    const std::string& path);
 
 /// The featurizer's learned per-group history (its only mutable state;
 /// the feature schema itself is rebuilt from the group/catalog specs).
 std::string EncodeFeaturizerState(const core::Featurizer& featurizer);
-Status SaveFeaturizerState(const core::Featurizer& featurizer,
-                           const std::string& path);
 /// Decodes into an already-constructed featurizer via RestoreHistory.
 Status DecodeFeaturizerState(std::string bytes, core::Featurizer* featurizer,
                              SnapshotDefect* defect = nullptr);
-Status LoadFeaturizerState(const std::string& path,
-                           core::Featurizer* featurizer);
 
 /// Runs round-trip through Ingest on decode, so a snapshot whose records
 /// pass the checksums but hold semantically corrupt runs fails the load
 /// instead of silently indexing bad data. The audit trail (quarantined
 /// runs + per-reason counts) round-trips too.
 std::string EncodeTelemetryStore(const sim::TelemetryStore& store);
-Status SaveTelemetryStore(const sim::TelemetryStore& store,
-                          const std::string& path);
 Result<sim::TelemetryStore> DecodeTelemetryStore(
     std::string bytes, SnapshotDefect* defect = nullptr);
-Result<sim::TelemetryStore> LoadTelemetryStore(const std::string& path);
-
-/// The ShapeService's per-group state (discounted log-likelihood sums,
-/// observation/clamp counters, and the group's KLL quantile sketch), so
-/// online serving state survives restart alongside the model. Encode exports a
-/// point-in-time cut of the live service; Decode yields the group states
-/// in the form ShapeService::RestoreState takes, validated down to
-/// finiteness by the restore path. The image is shard-count independent:
-/// ExportState merges per-shard snapshots deterministically (ascending
-/// group id), so a service running S shards restores bit-identically into
-/// one running any other shard count.
-std::string EncodeShapeServiceState(const core::ShapeService& service);
-Status SaveShapeServiceState(const core::ShapeService& service,
-                             const std::string& path);
-Result<std::vector<core::ShapeService::GroupState>> DecodeShapeServiceState(
-    std::string bytes, SnapshotDefect* defect = nullptr);
-Result<std::vector<core::ShapeService::GroupState>> LoadShapeServiceState(
-    const std::string& path);
 
 /// KLL sketch wire format (DESIGN.md §15), embedded inside a record that
 /// is already being written/read: fixed scalars (k, n, min/max as float
@@ -120,10 +90,33 @@ Result<KllSketch> DecodeKllSketchFrom(BinaryReader* r);
 /// sketch — the unit the codec-robustness suite attacks with bit flips
 /// and truncation.
 std::string EncodeKllSketch(const KllSketch& sketch);
-Status SaveKllSketch(const KllSketch& sketch, const std::string& path);
 Result<KllSketch> DecodeKllSketch(std::string bytes,
                                   SnapshotDefect* defect = nullptr);
-Result<KllSketch> LoadKllSketch(const std::string& path);
+
+/// One group's state as a snapshot record (core::GroupState: group id,
+/// observation and clamp counters, log-likelihood sums, then the embedded
+/// KLL sketch). The one per-group codec: the ShapeService image below and
+/// the recovery snapshot (io/recovery.h) both hold one such record per
+/// group. Decode checks only the wire format; the sums, the counters and
+/// `sketch.n() == count` are validated where the state is installed,
+/// OnlineShapeTracker::RestoreState.
+std::string EncodeGroupRecord(const core::GroupState& state);
+Result<core::GroupState> DecodeGroupRecord(std::string_view record);
+
+/// The ShapeService's per-group state, so online serving state survives
+/// restart alongside the model. Encode exports a point-in-time cut of the
+/// live service; Decode yields the group states in the form
+/// ShapeService::RestoreState takes, which validates them. The image is
+/// shard-count independent: ExportState merges per-shard snapshots
+/// deterministically (ascending group id), so a service running S shards
+/// restores bit-identically into one running any other shard count.
+std::string EncodeShapeServiceState(const core::ShapeService& service);
+Result<std::vector<core::GroupState>> DecodeShapeServiceState(
+    std::string bytes, SnapshotDefect* defect = nullptr);
+Status SaveShapeServiceState(const core::ShapeService& service,
+                             const std::string& path);
+Result<std::vector<core::GroupState>> LoadShapeServiceState(
+    const std::string& path);
 
 }  // namespace io
 }  // namespace rvar

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include "common/strings.h"
 #include "io/codec.h"
@@ -237,6 +238,27 @@ Result<std::string> ReadFileToString(const std::string& path) {
   }
   ::close(fd);
   return out;
+}
+
+std::string NumberedFileName(const char* prefix, int64_t number) {
+  std::string digits = StrCat(number);
+  if (digits.size() < 6) digits.insert(0, 6 - digits.size(), '0');
+  return StrCat(prefix, digits);
+}
+
+int64_t ParseNumberedFileName(const std::string& name, const char* prefix) {
+  const size_t prefix_len = std::strlen(prefix);
+  if (name.size() <= prefix_len || name.compare(0, prefix_len, prefix) != 0) {
+    return -1;
+  }
+  int64_t value = 0;
+  for (size_t i = prefix_len; i < name.size(); ++i) {
+    if (name[i] < '0' || name[i] > '9') return -1;
+    const int digit = name[i] - '0';
+    if (value > (std::numeric_limits<int64_t>::max() - digit) / 10) return -1;
+    value = value * 10 + digit;
+  }
+  return value;
 }
 
 }  // namespace io

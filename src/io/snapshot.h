@@ -120,6 +120,15 @@ Status AtomicWriteFile(const std::string& path, std::string_view bytes);
 /// Reads a whole file; NotFound if it does not exist.
 Result<std::string> ReadFileToString(const std::string& path);
 
+/// `<prefix><number>` with the number zero-padded to six digits: the name
+/// of snapshot generations, WAL segments and registry versions.
+std::string NumberedFileName(const char* prefix, int64_t number);
+
+/// Inverse of NumberedFileName for a directory listing: the number of a
+/// `<prefix><digits>` name, or -1 when the name does not match or its
+/// digits overflow int64.
+int64_t ParseNumberedFileName(const std::string& name, const char* prefix);
+
 }  // namespace io
 }  // namespace rvar
 

@@ -42,6 +42,8 @@ class KllSketch {
  public:
   static constexpr int kMinK = 8;
   static constexpr int kMaxK = 1 << 16;
+  /// The per-group default (ShapeService, RecoveryManager): ~2 KB bound.
+  static constexpr int kDefaultK = 200;
   static constexpr int kMinLevelCapacity = 8;
   /// More levels than this cannot arise before n overflows int64.
   static constexpr int kMaxLevels = 56;
@@ -54,11 +56,11 @@ class KllSketch {
   /// BinGrid::BinIndex). Note the value is stored as a float.
   void Update(double x);
 
-  /// Update with the ShapeService clamp rule: NaN ignored, everything
-  /// else clamped into [grid.lo(), grid.hi()]. Clamping never changes the
-  /// target bin (BinIndex clips identically) but keeps retained items
-  /// finite and quantiles inside the grid. Keeps n() equal to
-  /// OnlineShapeTracker::count() for the same observation sequence.
+  /// Update with the OnlineShapeTracker clamp rule: NaN ignored,
+  /// everything else clamped into [grid.lo(), grid.hi()]. Clamping never
+  /// changes the target bin (BinIndex clips identically) but keeps
+  /// retained items finite and quantiles inside the grid. Keeps n() equal
+  /// to OnlineShapeTracker::count() for the same observation sequence.
   void UpdateClamped(const BinGrid& grid, double x);
 
   /// Merges `other` into this sketch; total weight adds exactly. The

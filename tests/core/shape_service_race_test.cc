@@ -74,8 +74,7 @@ TEST_F(ShapeServiceRaceTest, ForgetAndRestoreRaceObserveAndPosterior) {
   for (int gid = 0; gid < kGroups; ++gid) {
     ASSERT_TRUE((*service)->Observe(gid, 1.0).ok());
   }
-  const std::vector<ShapeService::GroupState> donor =
-      (*service)->ExportState();
+  const std::vector<GroupState> donor = (*service)->ExportState();
   ASSERT_EQ(donor.size(), static_cast<size_t>(kGroups));
 
   std::atomic<bool> stop{false};

@@ -171,7 +171,7 @@ TEST_F(ShapeServiceTest, NegativeGroupIdsAreRejectedCountedAndRestorable) {
 
   // The round trip the bug used to break: everything Observe accepted
   // exports, and the export restores cleanly.
-  const std::vector<ShapeService::GroupState> states =
+  const std::vector<GroupState> states =
       (*service)->ExportState();
   ASSERT_EQ(states.size(), 1u);
   auto restored = ShapeService::Make(library_);
@@ -325,7 +325,7 @@ TEST_F(ShapeServiceTest, StateRoundTripsThroughExportRestore) {
     }
   }
 
-  const std::vector<ShapeService::GroupState> states =
+  const std::vector<GroupState> states =
       (*service)->ExportState();
   ASSERT_EQ(states.size(), 3u);
 
@@ -340,7 +340,7 @@ TEST_F(ShapeServiceTest, StateRoundTripsThroughExportRestore) {
   }
 
   // Restore is all-or-nothing: a malformed state leaves the target as-is.
-  std::vector<ShapeService::GroupState> bad = states;
+  std::vector<GroupState> bad = states;
   bad[1].group_id = -3;
   auto target = ShapeService::Make(library_, options);
   ASSERT_TRUE(target.ok());
@@ -438,46 +438,55 @@ TEST_F(ShapeServiceTest, PmfCacheNeverChangesAnswersAndCountsHits) {
   EXPECT_EQ((*a)->PriorShape(0), (*a)->GlobalPriorShape());
 }
 
-// Restore requires the bounded sketch: states without one, with a
-// mismatched k, or with a sample count disagreeing with the tracker's are
-// refused whole.
+// Restore checks each group's sketch against its tracker: a sample count
+// that disagrees with the tracker's is refused whole. A sketch written
+// under another k restores as it is: restored groups keep the k their
+// snapshot carries, and options.sketch_k applies only to groups created
+// later.
 TEST_F(ShapeServiceTest, RestoreValidatesSketches) {
   auto service = ShapeService::Make(library_);
   ASSERT_TRUE(service.ok());
   for (double x : StreamFor(5, 20)) {
     ASSERT_TRUE((*service)->Observe(5, x).ok());
   }
-  const std::vector<ShapeService::GroupState> states =
-      (*service)->ExportState();
+  const std::vector<GroupState> states = (*service)->ExportState();
   ASSERT_EQ(states.size(), 1u);
-  ASSERT_TRUE(states[0].sketch.has_value());
-  EXPECT_EQ(states[0].sketch->n(), states[0].count);
+  EXPECT_EQ(states[0].sketch.n(), states[0].count);
 
   auto target = ShapeService::Make(library_);
   ASSERT_TRUE(target.ok());
   {
-    std::vector<ShapeService::GroupState> bad = states;
-    bad[0].sketch.reset();
+    std::vector<GroupState> bad = states;
+    bad[0].count += 1;  // sketch.n() no longer matches
     auto status = (*target)->RestoreState(bad);
     ASSERT_FALSE(status.ok());
     EXPECT_NE(status.message().find("sketch"), std::string::npos);
   }
-  {
-    std::vector<ShapeService::GroupState> bad = states;
-    auto small = KllSketch::Make(KllSketch::kMinK);
-    ASSERT_TRUE(small.ok());
-    for (int i = 0; i < 20; ++i) small->Update(1.0);
-    bad[0].sketch.emplace(*std::move(small));  // right n, wrong k
-    EXPECT_FALSE((*target)->RestoreState(bad).ok());
-  }
-  {
-    std::vector<ShapeService::GroupState> bad = states;
-    bad[0].count += 1;  // sketch.n() no longer matches
-    EXPECT_FALSE((*target)->RestoreState(bad).ok());
-  }
-  EXPECT_EQ((*target)->NumGroups(), 0u);  // every rejection left it empty
+  EXPECT_EQ((*target)->NumGroups(), 0u);  // the rejection left it empty
   ASSERT_TRUE((*target)->RestoreState(states).ok());
   EXPECT_EQ((*target)->PriorShape(5), (*service)->PriorShape(5));
+
+  // Right n, other k: a service running the smallest k exports states
+  // that the default-k target restores intact.
+  ShapeService::Options small_k;
+  small_k.sketch_k = KllSketch::kMinK;
+  auto source = ShapeService::Make(library_, small_k);
+  ASSERT_TRUE(source.ok());
+  for (double x : StreamFor(5, 20)) {
+    ASSERT_TRUE((*source)->Observe(5, x).ok());
+  }
+  const std::vector<GroupState> small_states = (*source)->ExportState();
+  ASSERT_EQ(small_states[0].sketch.k(), KllSketch::kMinK);
+  ASSERT_TRUE((*target)->RestoreState(small_states).ok());
+  EXPECT_EQ((*target)->ExportState()[0].sketch.k(), KllSketch::kMinK);
+  EXPECT_EQ((*target)->PriorShape(5), (*source)->PriorShape(5));
+  std::vector<double> pmf_source, pmf_target;
+  ASSERT_TRUE((*source)->ReconstructPmf(5, &pmf_source));
+  ASSERT_TRUE((*target)->ReconstructPmf(5, &pmf_target));
+  EXPECT_EQ(pmf_target, pmf_source);
+  // A group created after the restore uses the target's own k.
+  ASSERT_TRUE((*target)->Observe(6, 1.0).ok());
+  EXPECT_EQ((*target)->ExportState()[1].sketch.k(), KllSketch::kDefaultK);
 }
 
 TEST_F(ShapeServiceTest, MakeRejectsBadSketchOptions) {

@@ -206,21 +206,19 @@ TEST_F(ShapeShardDeterminismTest, SketchesIdenticalAcrossShardCounts) {
   auto one = BuildService(1, kGroups, kObs, kThreads);
   auto sixteen = BuildService(16, kGroups, kObs, kThreads);
 
-  const std::vector<ShapeService::GroupState> a = one->ExportState();
-  const std::vector<ShapeService::GroupState> b = sixteen->ExportState();
+  const std::vector<GroupState> a = one->ExportState();
+  const std::vector<GroupState> b = sixteen->ExportState();
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i].group_id, b[i].group_id);
-    ASSERT_TRUE(a[i].sketch.has_value());
-    ASSERT_TRUE(b[i].sketch.has_value());
-    EXPECT_EQ(a[i].sketch->items(), b[i].sketch->items())
+    EXPECT_EQ(a[i].sketch.items(), b[i].sketch.items())
         << "group " << a[i].group_id;
-    EXPECT_EQ(a[i].sketch->level_sizes(), b[i].sketch->level_sizes());
-    EXPECT_EQ(a[i].sketch->compaction_parity(),
-              b[i].sketch->compaction_parity());
-    EXPECT_EQ(a[i].sketch->n(), b[i].sketch->n());
+    EXPECT_EQ(a[i].sketch.level_sizes(), b[i].sketch.level_sizes());
+    EXPECT_EQ(a[i].sketch.compaction_parity(),
+              b[i].sketch.compaction_parity());
+    EXPECT_EQ(a[i].sketch.n(), b[i].sketch.n());
     // Bounded state: the acceptance bound at the default k = 200.
-    EXPECT_LE(a[i].sketch->MemoryBytes(), 2048u);
+    EXPECT_LE(a[i].sketch.MemoryBytes(), 2048u);
   }
   for (int gid = 0; gid < kGroups + 2; ++gid) {
     EXPECT_EQ(sixteen->PriorShape(gid), one->PriorShape(gid)) << gid;

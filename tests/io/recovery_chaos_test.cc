@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -102,16 +103,13 @@ void ExpectStatesBitIdentical(const ServingState& reference,
     EXPECT_EQ(it->second.log_likelihood(), tracker.log_likelihood())
         << "group " << gid;
     EXPECT_EQ(it->second.MostLikely(), tracker.MostLikely());
-  }
-  // The per-group quantile sketches must survive the crash bit-for-bit
-  // too: identical wire encodings, not merely close quantiles.
-  ASSERT_EQ(recovered.sketches.size(), reference.sketches.size());
-  for (const auto& [gid, sketch] : reference.sketches) {
-    auto it = recovered.sketches.find(gid);
-    ASSERT_NE(it, recovered.sketches.end()) << "group " << gid;
-    EXPECT_EQ(EncodeKllSketch(it->second), EncodeKllSketch(sketch))
+    // The per-group quantile sketch must survive the crash bit-for-bit
+    // too: identical wire encodings, not merely close quantiles.
+    EXPECT_EQ(EncodeKllSketch(it->second.sketch()),
+              EncodeKllSketch(tracker.sketch()))
         << "group " << gid << " sketch diverged across recovery";
-    EXPECT_EQ(it->second.n(), sketch.n()) << "group " << gid;
+    EXPECT_EQ(it->second.sketch().n(), tracker.sketch().n())
+        << "group " << gid;
   }
 }
 
@@ -235,6 +233,60 @@ TEST_F(RecoveryChaosTest, KillAndRestartMatchesNeverCrashedRun) {
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   EXPECT_EQ(clean->num_snapshots_discarded, 0);
   ExpectStatesBitIdentical(revived->state(), reopened->state());
+}
+
+// The boundary rule ShapeService::Observe applies holds for durable writes
+// too: a negative group id or a non-finite runtime is refused before the
+// WAL append, and one that reaches the WAL anyway is dropped on replay as
+// a bad payload instead of creating a group no restore could load.
+TEST_F(RecoveryChaosTest, ObserveAndReplayRejectWhatTheServiceRejects) {
+  const std::string dir = root_ + "/boundary";
+  {
+    auto manager = RecoveryManager::Open(dir);
+    ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+    ASSERT_TRUE(manager->Bootstrap(MakeLibrary(11)).ok());
+    ASSERT_TRUE(manager->Observe(2, 1.5).ok());
+    const Status negative = manager->Observe(-3, 1.0);
+    EXPECT_TRUE(negative.IsInvalidArgument()) << negative.ToString();
+    EXPECT_NE(negative.message().find("group_id"), std::string::npos);
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+      const Status status = manager->Observe(2, bad);
+      EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    }
+    // Nothing rejected was logged or applied.
+    EXPECT_EQ(manager->last_sequence(), 1u);
+    ASSERT_EQ(manager->state().trackers.size(), 1u);
+    EXPECT_EQ(manager->state().trackers.at(2).count(), 1);
+    EXPECT_EQ(manager->state().trackers.at(2).num_clamped(), 0);
+
+    // Hand-frame the probe's two inputs into the live segment (Bootstrap
+    // opened segment 1), between two valid records.
+    const std::string wal_path = manager->WalPath(1);
+    auto writer = WalWriter::OpenForAppend(
+        wal_path, 1, std::filesystem::file_size(wal_path), true);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE(writer->Append(FrameObservation(2, {-3, 1.0})).ok());
+    ASSERT_TRUE(
+        writer
+            ->Append(FrameObservation(
+                3, {2, std::numeric_limits<double>::quiet_NaN()}))
+            .ok());
+    ASSERT_TRUE(writer->Append(FrameObservation(4, {2, 2.5})).ok());
+  }
+  auto revived = RecoveryManager::Open(dir);
+  ASSERT_TRUE(revived.ok()) << revived.status().ToString();
+  auto report = revived->Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->Count(RecoveryReason::kWalBadPayload), 2);
+  EXPECT_EQ(report->wal_records_applied, 2);
+  ASSERT_EQ(revived->state().trackers.size(), 1u);
+  EXPECT_EQ(revived->state().trackers.count(-3), 0u);
+  const core::OnlineShapeTracker& tracker = revived->state().trackers.at(2);
+  EXPECT_EQ(tracker.count(), 2);
+  EXPECT_EQ(tracker.num_clamped(), 0);
+  EXPECT_EQ(tracker.sketch().n(), 2);
 }
 
 TEST_F(RecoveryChaosTest, AllSnapshotsCorruptIsAnErrorNotACrash) {

@@ -4,10 +4,13 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include "io/codec.h"
 #include "io/crc32.h"
+#include "io/model_registry.h"
+#include "io/recovery.h"
 #include "unique_temp_dir.h"
 
 namespace rvar {
@@ -204,6 +207,60 @@ TEST(SnapshotTest, WriteFileRoundTrips) {
   auto reader = SnapshotReader::Open(*bytes, PayloadKind::kGbdtClassifier);
   ASSERT_TRUE(reader.ok());
   EXPECT_EQ(*reader->Record(0), "abc");
+}
+
+TEST(NumberedFileNameTest, RoundTripsAndRejectsMalformedNames) {
+  EXPECT_EQ(NumberedFileName("wal-", 42), "wal-000042");
+  EXPECT_EQ(NumberedFileName("model-", 1234567), "model-1234567");
+  EXPECT_EQ(ParseNumberedFileName("wal-000042", "wal-"), 42);
+  EXPECT_EQ(ParseNumberedFileName("snapshot-9223372036854775807",
+                                  "snapshot-"),
+            std::numeric_limits<int64_t>::max());
+  for (const char* bad :
+       {"wal-", "wal-12a", "wal--1", "wal-000042.tmp", "snapshot-000001",
+        "wal-9223372036854775808", "wal-99999999999999999999"}) {
+    EXPECT_EQ(ParseNumberedFileName(bad, "wal-"), -1) << bad;
+  }
+}
+
+// A directory listing is untrusted input: a name whose digits overflow
+// int64 must be ignored, not parsed with signed overflow into some
+// generation or version that then shadows the real ones.
+TEST(NumberedFileNameTest, OpenIgnoresNamesThatOverflowInt64) {
+  const UniqueTempDir dir;
+  const std::string huge = "99999999999999999999";
+  auto touch = [](const std::string& path) {
+    ASSERT_TRUE(AtomicWriteFile(path, "x").ok()) << path;
+  };
+
+  const std::string state = dir.File("state");
+  std::filesystem::create_directories(state);
+  touch(state + "/snapshot-" + huge);
+  touch(state + "/wal-" + huge);
+  {
+    auto manager = RecoveryManager::Open(state);
+    ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+    EXPECT_FALSE(manager->HasState());
+    EXPECT_EQ(manager->generation(), 0);
+  }
+  touch(state + "/snapshot-000003");
+  {
+    auto manager = RecoveryManager::Open(state);
+    ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+    EXPECT_TRUE(manager->HasState());
+    EXPECT_EQ(manager->generation(), 3);
+  }
+
+  const std::string models = dir.File("models");
+  std::filesystem::create_directories(models);
+  touch(models + "/model-" + huge);
+  touch(models + "/manifest-" + huge);
+  touch(models + "/model-000004");
+  auto registry = ModelRegistry::Open(models);
+  ASSERT_TRUE(registry.ok()) << registry.status().ToString();
+  EXPECT_EQ(registry->next_version(), 5);
+  EXPECT_TRUE(registry->Versions().empty());
+  EXPECT_EQ(registry->num_corrupt_manifests(), 0);
 }
 
 }  // namespace
