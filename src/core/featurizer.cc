@@ -91,41 +91,6 @@ void Featurizer::SetHistory(const sim::TelemetryStore& history) {
   }
 }
 
-Status Featurizer::RestoreHistory(
-    std::unordered_map<int, GroupHistory> history) {
-  const size_t num_skus = catalog_->NumSkus();
-  for (const auto& [gid, h] : history) {
-    if (h.sku_frac.size() != num_skus) {
-      return Status::InvalidArgument(
-          StrCat("group ", gid, " history holds ", h.sku_frac.size(),
-                 " SKU fractions, catalog has ", num_skus));
-    }
-    const double fields[] = {h.input_mean,      h.input_std,
-                             h.temp_mean,       h.vertices_mean,
-                             h.max_tokens_mean, h.max_tokens_std,
-                             h.avg_tokens_mean, h.spare_tokens_mean,
-                             h.runtime_median};
-    for (double v : fields) {
-      if (!std::isfinite(v)) {
-        return Status::InvalidArgument(
-            StrCat("group ", gid, " history holds a non-finite aggregate"));
-      }
-    }
-    for (double f : h.sku_frac) {
-      if (!std::isfinite(f)) {
-        return Status::InvalidArgument(StrCat(
-            "group ", gid, " history holds a non-finite SKU fraction"));
-      }
-    }
-    if (h.support < 0) {
-      return Status::InvalidArgument(
-          StrCat("group ", gid, " history support must be >= 0"));
-    }
-  }
-  history_ = std::move(history);
-  return Status::OK();
-}
-
 Featurizer::GroupHistory Featurizer::HistoryFor(
     const sim::JobRun& run) const {
   const auto it = history_.find(run.group_id);

@@ -26,25 +26,6 @@ namespace core {
 /// \brief Builds feature vectors for job runs.
 class Featurizer {
  public:
-  /// \brief Per-group historic aggregates (the expensive part of
-  /// SetHistory). Public so io/serialize can persist and restore them —
-  /// recomputing history needs the full reference telemetry, which a
-  /// restarted server may no longer hold.
-  struct GroupHistory {
-    int support = 0;
-    double input_mean = 0.0, input_std = 0.0;
-    double temp_mean = 0.0;
-    double vertices_mean = 0.0;
-    double max_tokens_mean = 0.0, max_tokens_std = 0.0;
-    double avg_tokens_mean = 0.0;
-    double spare_tokens_mean = 0.0;
-    /// Historic runtime scale (Section 5.1's historic runtime statistics;
-    /// shape-proxy statistics are excluded to keep what-if transforms
-    /// counterfactually consistent).
-    double runtime_median = 0.0;
-    std::vector<double> sku_frac;
-  };
-
   /// \param groups group specs indexed by group_id (groups[i].group_id==i);
   ///        must outlive the featurizer.
   /// \param catalog the cluster's SKU catalog; must outlive the featurizer.
@@ -56,18 +37,6 @@ class Featurizer {
   /// reference slice). Groups absent from history fall back to the current
   /// run's own telemetry at featurization time.
   void SetHistory(const sim::TelemetryStore& history);
-
-  /// The current per-group aggregates (what SetHistory computed or
-  /// RestoreHistory installed).
-  const std::unordered_map<int, GroupHistory>& history() const {
-    return history_;
-  }
-
-  /// Reinstalls checkpointed aggregates (io/serialize.h). Validates
-  /// finiteness and per-SKU vector lengths against the live catalog, so a
-  /// snapshot from a differently-shaped cluster is rejected instead of
-  /// silently misfeaturizing.
-  Status RestoreHistory(std::unordered_map<int, GroupHistory> history);
 
   /// Ordered feature names; stable across calls.
   const std::vector<std::string>& FeatureNames() const { return names_; }
@@ -96,6 +65,22 @@ class Featurizer {
       const sim::TelemetryStore& slice) const;
 
  private:
+  /// Per-group historic aggregates (the expensive part of SetHistory).
+  struct GroupHistory {
+    int support = 0;
+    double input_mean = 0.0, input_std = 0.0;
+    double temp_mean = 0.0;
+    double vertices_mean = 0.0;
+    double max_tokens_mean = 0.0, max_tokens_std = 0.0;
+    double avg_tokens_mean = 0.0;
+    double spare_tokens_mean = 0.0;
+    /// Historic runtime scale (Section 5.1's historic runtime statistics;
+    /// shape-proxy statistics are excluded to keep what-if transforms
+    /// counterfactually consistent).
+    double runtime_median = 0.0;
+    std::vector<double> sku_frac;
+  };
+
   GroupHistory HistoryFor(const sim::JobRun& run) const;
 
   const std::vector<sim::JobGroupSpec>* groups_;

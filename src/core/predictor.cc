@@ -211,7 +211,8 @@ Result<int> VariationPredictor::PredictShape(const sim::JobRun& run) const {
   PredictorMetrics::Get().predictions_total->Increment();
   RVAR_ASSIGN_OR_RETURN(std::vector<double> x,
                         featurizer_->FeaturesFor(run));
-  return PredictFromFeatures(x);
+  PredictScratch scratch;
+  return PredictFromFeatures(*ModelSnapshot(), x, &scratch);
 }
 
 Result<std::vector<int>> VariationPredictor::PredictShapeBatch(
@@ -282,15 +283,9 @@ Status VariationPredictor::PredictShapeBatchInto(
   return Status::OK();
 }
 
-Status VariationPredictor::PredictProbaFromFeatures(
-    const std::vector<double>& full_features, PredictScratch* scratch) const {
-  const std::shared_ptr<const ml::GbdtClassifier> model = ModelSnapshot();
-  return PredictProbaWithModel(*model, full_features, scratch);
-}
-
-Status VariationPredictor::PredictProbaWithModel(
-    const ml::GbdtClassifier& model,
-    const std::vector<double>& full_features, PredictScratch* scratch) const {
+Result<int> VariationPredictor::PredictFromFeatures(
+    const ml::GbdtClassifier& model, const std::vector<double>& full_features,
+    PredictScratch* scratch) const {
   if (full_features.size() != featurizer_->FeatureNames().size()) {
     return Status::InvalidArgument(
         StrCat("expected ", featurizer_->FeatureNames().size(),
@@ -300,26 +295,6 @@ Status VariationPredictor::PredictProbaWithModel(
   scratch->projected.reserve(kept_.size());
   for (size_t f : kept_) scratch->projected.push_back(full_features[f]);
   model.PredictProbaInto(scratch->projected, &scratch->proba);
-  return Status::OK();
-}
-
-Result<std::vector<double>> VariationPredictor::PredictProbaFromFeatures(
-    const std::vector<double>& full_features) const {
-  PredictScratch scratch;
-  RVAR_RETURN_NOT_OK(PredictProbaFromFeatures(full_features, &scratch));
-  return std::move(scratch.proba);
-}
-
-Result<int> VariationPredictor::PredictFromFeatures(
-    const std::vector<double>& full_features, PredictScratch* scratch) const {
-  const std::shared_ptr<const ml::GbdtClassifier> model = ModelSnapshot();
-  return PredictFromFeatures(*model, full_features, scratch);
-}
-
-Result<int> VariationPredictor::PredictFromFeatures(
-    const ml::GbdtClassifier& model, const std::vector<double>& full_features,
-    PredictScratch* scratch) const {
-  RVAR_RETURN_NOT_OK(PredictProbaWithModel(model, full_features, scratch));
   const std::vector<double>& proba = scratch->proba;
   int best = 0;
   for (size_t k = 1; k < proba.size(); ++k) {
@@ -328,12 +303,6 @@ Result<int> VariationPredictor::PredictFromFeatures(
     }
   }
   return best;
-}
-
-Result<int> VariationPredictor::PredictFromFeatures(
-    const std::vector<double>& full_features) const {
-  PredictScratch scratch;
-  return PredictFromFeatures(full_features, &scratch);
 }
 
 Result<PredictorEvaluation> VariationPredictor::Evaluate(

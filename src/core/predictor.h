@@ -53,7 +53,7 @@ struct PredictorEvaluation {
   std::vector<SupportBucket> by_support;
 };
 
-/// \brief Reusable buffers for the scratch-based prediction overloads.
+/// \brief Reusable buffers for PredictFromFeatures.
 /// Hot batch loops keep one instance per thread and reuse it across rows,
 /// so projection and softmax scoring allocate nothing in steady state.
 struct PredictScratch {
@@ -125,26 +125,12 @@ class VariationPredictor {
                                std::vector<int>* shapes,
                                std::vector<Status>* run_status) const;
 
-  /// Predicted shape probabilities from a FULL feature vector (the
-  /// featurizer's layout; projection happens internally).
-  Result<std::vector<double>> PredictProbaFromFeatures(
-      const std::vector<double>& full_features) const;
-
-  /// Allocation-free variant: probabilities land in scratch->proba.
-  Status PredictProbaFromFeatures(const std::vector<double>& full_features,
-                                  PredictScratch* scratch) const;
-
-  /// Predicted shape from a FULL feature vector.
-  Result<int> PredictFromFeatures(
-      const std::vector<double>& full_features) const;
-
-  /// Allocation-free variant reusing `scratch` across calls.
-  Result<int> PredictFromFeatures(const std::vector<double>& full_features,
-                                  PredictScratch* scratch) const;
-
-  /// Epoch-pinned variant: scores against `model` (a snapshot the caller
-  /// took once for the batch), so a concurrent SwapModel cannot split a
-  /// batch across model versions.
+  /// Predicted shape from a FULL feature vector (the featurizer's
+  /// layout; projection happens internally), scored against `model` — an
+  /// epoch the caller pinned with ModelSnapshot(), so a concurrent
+  /// SwapModel cannot split a batch or a before/after comparison across
+  /// model versions. Reuses `scratch` across calls; on OK the class
+  /// probabilities are left in scratch->proba.
   Result<int> PredictFromFeatures(const ml::GbdtClassifier& model,
                                   const std::vector<double>& full_features,
                                   PredictScratch* scratch) const;
@@ -161,11 +147,6 @@ class VariationPredictor {
 
  private:
   VariationPredictor() = default;
-
-  /// Projection + softmax scoring against an explicit model epoch.
-  Status PredictProbaWithModel(const ml::GbdtClassifier& model,
-                               const std::vector<double>& full_features,
-                               PredictScratch* scratch) const;
 
   PredictorConfig config_;
   // Owned copies so the featurizer's pointers stay valid.

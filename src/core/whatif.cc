@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "common/parallel.h"
 #include "common/strings.h"
@@ -28,6 +29,10 @@ Result<ScenarioResult> WhatIfEngine::Run(
 
   // Each run's before/after prediction is independent; per-chunk count
   // matrices merge in chunk order (integer sums, so the totals are exact).
+  // Both sides of every run score against one model epoch pinned here, so
+  // a SwapModel during the scenario cannot pass for a feature-driven move.
+  const std::shared_ptr<const ml::GbdtClassifier> model =
+      predictor_->ModelSnapshot();
   const Featurizer& featurizer = predictor_->featurizer();
   const std::vector<sim::JobRun>& runs = slice.runs();
   struct Counts {
@@ -57,14 +62,14 @@ Result<ScenarioResult> WhatIfEngine::Run(
             return local;
           }
           Result<int> before =
-              predictor_->PredictFromFeatures(*features, &scratch);
+              predictor_->PredictFromFeatures(*model, *features, &scratch);
           if (!before.ok()) {
             local.status = before.status();
             return local;
           }
           transform(featurizer, &*features);
           Result<int> after =
-              predictor_->PredictFromFeatures(*features, &scratch);
+              predictor_->PredictFromFeatures(*model, *features, &scratch);
           if (!after.ok()) {
             local.status = after.status();
             return local;

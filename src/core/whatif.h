@@ -60,7 +60,8 @@ class WhatIfEngine {
   /// \param predictor must outlive the engine.
   explicit WhatIfEngine(const VariationPredictor* predictor);
 
-  /// Predicts every run of `slice` before and after `transform`.
+  /// Predicts every run of `slice` before and after `transform`, both
+  /// against the one model epoch the predictor serves when Run starts.
   Result<ScenarioResult> Run(const sim::TelemetryStore& slice,
                              const std::string& name,
                              const FeatureTransform& transform) const;

@@ -1,13 +1,11 @@
 #include "io/serialize.h"
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstring>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "common/strings.h"
 #include "io/codec.h"
 #include "ml/tree.h"
@@ -19,7 +17,6 @@ namespace {
 // Smallest possible encodings, used to reject hostile count prefixes
 // before allocating (`count * kMin... <= remaining` guards).
 constexpr size_t kMinNodeBytes = 4 + 8 + 4 + 4 + 8 + 8;  // empty value vec
-constexpr size_t kMinSkylineStepBytes = 8 + 4;
 
 // --- Tree ----------------------------------------------------------------
 
@@ -350,387 +347,6 @@ Result<ml::GbdtClassifier> DecodeGbdtClassifier(std::string bytes,
 Status SaveGbdtClassifier(const ml::GbdtClassifier& model,
                           const std::string& path) {
   return AtomicWriteFile(path, EncodeGbdtClassifier(model));
-}
-
-// --- Random forests ------------------------------------------------------
-//
-// record 0: config, (num_classes for the classifier), num_trees,
-//           importance
-// record 1..: one tree per record
-
-namespace {
-
-void EncodeForestConfig(const ml::ForestConfig& c, BinaryWriter* w) {
-  w->PutI32(c.num_trees);
-  w->PutI32(c.tree.max_depth);
-  w->PutI32(c.tree.min_samples_leaf);
-  w->PutI32(c.tree.min_samples_split);
-  w->PutI32(c.tree.max_features);
-  w->PutDouble(c.tree.min_gain);
-  w->PutDouble(c.bootstrap_fraction);
-  w->PutI32(c.max_features);
-  w->PutI32(c.max_bins);
-  w->PutU64(c.seed);
-}
-
-Status DecodeForestConfig(BinaryReader* r, ml::ForestConfig* c) {
-  RVAR_ASSIGN_OR_RETURN(c->num_trees, r->ReadI32());
-  RVAR_ASSIGN_OR_RETURN(c->tree.max_depth, r->ReadI32());
-  RVAR_ASSIGN_OR_RETURN(c->tree.min_samples_leaf, r->ReadI32());
-  RVAR_ASSIGN_OR_RETURN(c->tree.min_samples_split, r->ReadI32());
-  RVAR_ASSIGN_OR_RETURN(c->tree.max_features, r->ReadI32());
-  RVAR_ASSIGN_OR_RETURN(c->tree.min_gain, r->ReadDouble());
-  RVAR_ASSIGN_OR_RETURN(c->bootstrap_fraction, r->ReadDouble());
-  RVAR_ASSIGN_OR_RETURN(c->max_features, r->ReadI32());
-  RVAR_ASSIGN_OR_RETURN(c->max_bins, r->ReadI32());
-  RVAR_ASSIGN_OR_RETURN(c->seed, r->ReadU64());
-  return Status::OK();
-}
-
-std::string EncodeForestImage(const ml::ForestConfig& config,
-                              int num_classes,  // < 0 for regressors
-                              const std::vector<ml::Tree>& trees,
-                              const std::vector<double>& importance,
-                              PayloadKind kind) {
-  SnapshotWriter snap(kind);
-  {
-    BinaryWriter w;
-    EncodeForestConfig(config, &w);
-    if (num_classes >= 0) w.PutI32(num_classes);
-    w.PutU64(trees.size());
-    w.PutDoubleVector(importance);
-    snap.AddRecord(w.bytes());
-  }
-  for (const ml::Tree& tree : trees) {
-    BinaryWriter w;
-    EncodeTree(tree, &w);
-    snap.AddRecord(w.bytes());
-  }
-  return snap.Finish();
-}
-
-struct ForestParts {
-  ml::ForestConfig config;
-  int num_classes = -1;
-  std::vector<ml::Tree> trees;
-  std::vector<double> importance;
-};
-
-Result<ForestParts> DecodeForestImage(std::string bytes, bool classifier,
-                                      SnapshotDefect* defect) {
-  const PayloadKind kind = classifier
-                               ? PayloadKind::kRandomForestClassifier
-                               : PayloadKind::kRandomForestRegressor;
-  RVAR_ASSIGN_OR_RETURN(SnapshotReader reader,
-                        OpenSnapshot(std::move(bytes), kind, 1, defect));
-  ForestParts parts;
-  uint64_t num_trees = 0;
-  {
-    RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(0));
-    BinaryReader r(rec);
-    RVAR_RETURN_NOT_OK(DecodeForestConfig(&r, &parts.config));
-    if (classifier) {
-      RVAR_ASSIGN_OR_RETURN(parts.num_classes, r.ReadI32());
-    }
-    RVAR_ASSIGN_OR_RETURN(num_trees, r.ReadU64());
-    RVAR_ASSIGN_OR_RETURN(parts.importance, r.ReadDoubleVector());
-    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "forest header"));
-  }
-  if (reader.num_records() != num_trees + 1) {
-    return Status::InvalidArgument(
-        StrCat("snapshot promises ", num_trees, " trees but holds ",
-               reader.num_records(), " records"));
-  }
-  parts.trees.reserve(static_cast<size_t>(num_trees));
-  for (uint64_t i = 0; i < num_trees; ++i) {
-    RVAR_ASSIGN_OR_RETURN(std::string_view rec,
-                          reader.Record(static_cast<size_t>(i) + 1));
-    BinaryReader r(rec);
-    RVAR_ASSIGN_OR_RETURN(ml::Tree tree, DecodeTree(&r));
-    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "tree"));
-    parts.trees.push_back(std::move(tree));
-  }
-  return parts;
-}
-
-}  // namespace
-
-std::string EncodeRandomForestClassifier(
-    const ml::RandomForestClassifier& model) {
-  return EncodeForestImage(model.config(), model.num_classes(),
-                           model.trees(), model.feature_importance(),
-                           PayloadKind::kRandomForestClassifier);
-}
-
-Result<ml::RandomForestClassifier> DecodeRandomForestClassifier(
-    std::string bytes, SnapshotDefect* defect) {
-  RVAR_ASSIGN_OR_RETURN(
-      ForestParts parts,
-      DecodeForestImage(std::move(bytes), /*classifier=*/true, defect));
-  return ml::RandomForestClassifier::Restore(
-      parts.config, parts.num_classes, std::move(parts.trees),
-      std::move(parts.importance));
-}
-
-std::string EncodeRandomForestRegressor(
-    const ml::RandomForestRegressor& model) {
-  return EncodeForestImage(model.config(), /*num_classes=*/-1,
-                           model.trees(), model.feature_importance(),
-                           PayloadKind::kRandomForestRegressor);
-}
-
-Result<ml::RandomForestRegressor> DecodeRandomForestRegressor(
-    std::string bytes, SnapshotDefect* defect) {
-  RVAR_ASSIGN_OR_RETURN(
-      ForestParts parts,
-      DecodeForestImage(std::move(bytes), /*classifier=*/false, defect));
-  return ml::RandomForestRegressor::Restore(parts.config,
-                                            std::move(parts.trees),
-                                            std::move(parts.importance));
-}
-
-// --- Featurizer history --------------------------------------------------
-//
-// record 0: group count
-// record 1..: one group per record (id, support, aggregates, SKU mix)
-
-std::string EncodeFeaturizerState(const core::Featurizer& featurizer) {
-  SnapshotWriter snap(PayloadKind::kFeaturizerState);
-  std::vector<int> gids;
-  gids.reserve(featurizer.history().size());
-  for (const auto& [gid, h] : featurizer.history()) gids.push_back(gid);
-  std::sort(gids.begin(), gids.end());  // deterministic images
-  {
-    BinaryWriter w;
-    w.PutU64(gids.size());
-    snap.AddRecord(w.bytes());
-  }
-  for (int gid : gids) {
-    const core::Featurizer::GroupHistory& h = featurizer.history().at(gid);
-    BinaryWriter w;
-    w.PutI32(gid);
-    w.PutI32(h.support);
-    w.PutDouble(h.input_mean);
-    w.PutDouble(h.input_std);
-    w.PutDouble(h.temp_mean);
-    w.PutDouble(h.vertices_mean);
-    w.PutDouble(h.max_tokens_mean);
-    w.PutDouble(h.max_tokens_std);
-    w.PutDouble(h.avg_tokens_mean);
-    w.PutDouble(h.spare_tokens_mean);
-    w.PutDouble(h.runtime_median);
-    w.PutDoubleVector(h.sku_frac);
-    snap.AddRecord(w.bytes());
-  }
-  return snap.Finish();
-}
-
-Status DecodeFeaturizerState(std::string bytes, core::Featurizer* featurizer,
-                             SnapshotDefect* defect) {
-  RVAR_ASSIGN_OR_RETURN(
-      SnapshotReader reader,
-      OpenSnapshot(std::move(bytes), PayloadKind::kFeaturizerState, 1,
-                   defect));
-  uint64_t num_groups = 0;
-  {
-    RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(0));
-    BinaryReader r(rec);
-    RVAR_ASSIGN_OR_RETURN(num_groups, r.ReadU64());
-    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "featurizer header"));
-  }
-  if (reader.num_records() != num_groups + 1) {
-    return Status::InvalidArgument(
-        StrCat("snapshot promises ", num_groups, " groups but holds ",
-               reader.num_records(), " records"));
-  }
-  std::unordered_map<int, core::Featurizer::GroupHistory> history;
-  history.reserve(static_cast<size_t>(num_groups));
-  for (uint64_t i = 0; i < num_groups; ++i) {
-    RVAR_ASSIGN_OR_RETURN(std::string_view rec,
-                          reader.Record(static_cast<size_t>(i) + 1));
-    BinaryReader r(rec);
-    int gid = 0;
-    core::Featurizer::GroupHistory h;
-    RVAR_ASSIGN_OR_RETURN(gid, r.ReadI32());
-    RVAR_ASSIGN_OR_RETURN(h.support, r.ReadI32());
-    RVAR_ASSIGN_OR_RETURN(h.input_mean, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(h.input_std, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(h.temp_mean, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(h.vertices_mean, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(h.max_tokens_mean, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(h.max_tokens_std, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(h.avg_tokens_mean, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(h.spare_tokens_mean, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(h.runtime_median, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(h.sku_frac, r.ReadDoubleVector());
-    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "group history"));
-    if (!history.emplace(gid, std::move(h)).second) {
-      return Status::InvalidArgument(
-          StrCat("group ", gid, " appears twice in the snapshot"));
-    }
-  }
-  return featurizer->RestoreHistory(std::move(history));
-}
-
-// --- TelemetryStore ------------------------------------------------------
-//
-// record 0: run count, quarantined count, per-reason quarantine counts
-// record 1..: one JobRun per record (indexed runs, then quarantined)
-
-namespace {
-
-void EncodeJobRun(const sim::JobRun& run, BinaryWriter* w) {
-  w->PutI32(run.group_id);
-  w->PutI64(run.instance_id);
-  w->PutDouble(run.submit_time);
-  w->PutDouble(run.runtime_seconds);
-  w->PutU8(run.rare_event ? 1 : 0);
-  w->PutI32(run.machine_faults);
-  w->PutI32(run.vertex_retries);
-  w->PutU8(run.spare_revoked ? 1 : 0);
-  w->PutI32(run.allocated_tokens);
-  w->PutI32(run.max_tokens_used);
-  w->PutDouble(run.avg_tokens_used);
-  w->PutDouble(run.avg_spare_tokens);
-  w->PutU64(run.skyline.size());
-  for (const auto& [start, tokens] : run.skyline) {
-    w->PutDouble(start);
-    w->PutI32(tokens);
-  }
-  w->PutDouble(run.input_gb);
-  w->PutDouble(run.temp_data_gb);
-  w->PutI32(run.total_vertices);
-  w->PutI32(run.num_stages);
-  w->PutDoubleVector(run.sku_vertex_fraction);
-  w->PutDoubleVector(run.sku_cpu_util);
-  w->PutDouble(run.cpu_util_mean);
-  w->PutDouble(run.cpu_util_std);
-  w->PutDouble(run.cluster_baseline_util);
-  w->PutDouble(run.spare_availability);
-}
-
-Result<sim::JobRun> DecodeJobRun(BinaryReader* r) {
-  sim::JobRun run;
-  RVAR_ASSIGN_OR_RETURN(run.group_id, r->ReadI32());
-  RVAR_ASSIGN_OR_RETURN(run.instance_id, r->ReadI64());
-  RVAR_ASSIGN_OR_RETURN(run.submit_time, r->ReadDouble());
-  RVAR_ASSIGN_OR_RETURN(run.runtime_seconds, r->ReadDouble());
-  RVAR_ASSIGN_OR_RETURN(uint8_t rare, r->ReadU8());
-  run.rare_event = rare != 0;
-  RVAR_ASSIGN_OR_RETURN(run.machine_faults, r->ReadI32());
-  RVAR_ASSIGN_OR_RETURN(run.vertex_retries, r->ReadI32());
-  RVAR_ASSIGN_OR_RETURN(uint8_t revoked, r->ReadU8());
-  run.spare_revoked = revoked != 0;
-  RVAR_ASSIGN_OR_RETURN(run.allocated_tokens, r->ReadI32());
-  RVAR_ASSIGN_OR_RETURN(run.max_tokens_used, r->ReadI32());
-  RVAR_ASSIGN_OR_RETURN(run.avg_tokens_used, r->ReadDouble());
-  RVAR_ASSIGN_OR_RETURN(run.avg_spare_tokens, r->ReadDouble());
-  RVAR_ASSIGN_OR_RETURN(uint64_t skyline_steps, r->ReadU64());
-  if (skyline_steps > r->remaining() / kMinSkylineStepBytes) {
-    return Status::InvalidArgument(
-        StrCat("skyline step count ", skyline_steps,
-               " exceeds the record size"));
-  }
-  run.skyline.reserve(static_cast<size_t>(skyline_steps));
-  for (uint64_t i = 0; i < skyline_steps; ++i) {
-    RVAR_ASSIGN_OR_RETURN(double start, r->ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(int tokens, r->ReadI32());
-    run.skyline.emplace_back(start, tokens);
-  }
-  RVAR_ASSIGN_OR_RETURN(run.input_gb, r->ReadDouble());
-  RVAR_ASSIGN_OR_RETURN(run.temp_data_gb, r->ReadDouble());
-  RVAR_ASSIGN_OR_RETURN(run.total_vertices, r->ReadI32());
-  RVAR_ASSIGN_OR_RETURN(run.num_stages, r->ReadI32());
-  RVAR_ASSIGN_OR_RETURN(run.sku_vertex_fraction, r->ReadDoubleVector());
-  RVAR_ASSIGN_OR_RETURN(run.sku_cpu_util, r->ReadDoubleVector());
-  RVAR_ASSIGN_OR_RETURN(run.cpu_util_mean, r->ReadDouble());
-  RVAR_ASSIGN_OR_RETURN(run.cpu_util_std, r->ReadDouble());
-  RVAR_ASSIGN_OR_RETURN(run.cluster_baseline_util, r->ReadDouble());
-  RVAR_ASSIGN_OR_RETURN(run.spare_availability, r->ReadDouble());
-  return run;
-}
-
-}  // namespace
-
-std::string EncodeTelemetryStore(const sim::TelemetryStore& store) {
-  SnapshotWriter snap(PayloadKind::kTelemetryStore);
-  {
-    BinaryWriter w;
-    w.PutU64(store.NumRuns());
-    w.PutU64(store.NumQuarantined());
-    for (int reason = 0; reason < sim::kNumQuarantineReasons; ++reason) {
-      w.PutI64(store.QuarantineCount(
-          static_cast<sim::QuarantineReason>(reason)));
-    }
-    snap.AddRecord(w.bytes());
-  }
-  for (const sim::JobRun& run : store.runs()) {
-    BinaryWriter w;
-    EncodeJobRun(run, &w);
-    snap.AddRecord(w.bytes());
-  }
-  for (const sim::JobRun& run : store.quarantined()) {
-    BinaryWriter w;
-    EncodeJobRun(run, &w);
-    snap.AddRecord(w.bytes());
-  }
-  return snap.Finish();
-}
-
-Result<sim::TelemetryStore> DecodeTelemetryStore(std::string bytes,
-                                                 SnapshotDefect* defect) {
-  RVAR_ASSIGN_OR_RETURN(
-      SnapshotReader reader,
-      OpenSnapshot(std::move(bytes), PayloadKind::kTelemetryStore, 1,
-                   defect));
-  uint64_t num_runs = 0;
-  uint64_t num_quarantined = 0;
-  std::array<int64_t, sim::kNumQuarantineReasons> counts{};
-  {
-    RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(0));
-    BinaryReader r(rec);
-    RVAR_ASSIGN_OR_RETURN(num_runs, r.ReadU64());
-    RVAR_ASSIGN_OR_RETURN(num_quarantined, r.ReadU64());
-    for (int reason = 0; reason < sim::kNumQuarantineReasons; ++reason) {
-      RVAR_ASSIGN_OR_RETURN(counts[static_cast<size_t>(reason)],
-                            r.ReadI64());
-    }
-    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "telemetry header"));
-  }
-  if (reader.num_records() != num_runs + num_quarantined + 1) {
-    return Status::InvalidArgument(
-        StrCat("snapshot promises ", num_runs, " runs + ", num_quarantined,
-               " quarantined but holds ", reader.num_records(), " records"));
-  }
-  sim::TelemetryStore store;
-  for (uint64_t i = 0; i < num_runs; ++i) {
-    RVAR_ASSIGN_OR_RETURN(std::string_view rec,
-                          reader.Record(static_cast<size_t>(i) + 1));
-    BinaryReader r(rec);
-    RVAR_ASSIGN_OR_RETURN(sim::JobRun run, DecodeJobRun(&r));
-    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "run"));
-    // Re-validate through the quarantine gate: an indexed run that no
-    // longer passes means the snapshot is semantically corrupt.
-    const Status ingest = store.Ingest(std::move(run));
-    if (!ingest.ok()) {
-      return Status::InvalidArgument(
-          StrCat("snapshot run ", i, " failed re-validation: ",
-                 ingest.message()));
-    }
-  }
-  std::vector<sim::JobRun> quarantined;
-  quarantined.reserve(static_cast<size_t>(num_quarantined));
-  for (uint64_t i = 0; i < num_quarantined; ++i) {
-    RVAR_ASSIGN_OR_RETURN(
-        std::string_view rec,
-        reader.Record(static_cast<size_t>(num_runs + i) + 1));
-    BinaryReader r(rec);
-    RVAR_ASSIGN_OR_RETURN(sim::JobRun run, DecodeJobRun(&r));
-    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "quarantined run"));
-    quarantined.push_back(std::move(run));
-  }
-  RVAR_RETURN_NOT_OK(store.RestoreAudit(std::move(quarantined), counts));
-  return store;
 }
 
 // --- KllSketch -----------------------------------------------------------

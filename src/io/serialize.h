@@ -1,13 +1,14 @@
 // Copyright 2026 The rvar Authors.
 //
-// Snapshot codecs for the serving-state components: the shape library,
-// the fitted ml models, the featurizer's per-group history, the telemetry
-// store, and the per-group shape state. Each type gets its own snapshot
-// PayloadKind and record layout (DESIGN.md §7); every Decode goes through
-// SnapshotReader (checksums) and the type's Restore factory (semantic
-// invariants), so a decode either reproduces the encoded object exactly
-// or returns a descriptive Status — it never crashes and never yields a
-// half-valid object.
+// Snapshot codecs for the serving state (DESIGN.md §7) and nothing else:
+// the shape library, the GBDT classifier, and the per-group shape state
+// (one group record, held by the ShapeService image and by the recovery
+// snapshot), plus the KLL sketch encoding that record embeds. Each gets
+// its own snapshot PayloadKind and record layout; every Decode goes
+// through SnapshotReader (checksums) and the type's Restore factory
+// (semantic invariants), so a decode either reproduces the encoded object
+// exactly or returns a descriptive Status — it never crashes and never
+// yields a half-valid object.
 
 #ifndef RVAR_IO_SERIALIZE_H_
 #define RVAR_IO_SERIALIZE_H_
@@ -18,14 +19,11 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "core/featurizer.h"
 #include "core/shape_library.h"
 #include "core/shape_service.h"
 #include "io/codec.h"
 #include "io/snapshot.h"
-#include "ml/forest.h"
 #include "ml/gbdt.h"
-#include "sim/telemetry.h"
 #include "stats/kll_sketch.h"
 
 namespace rvar {
@@ -50,31 +48,6 @@ Result<ml::GbdtClassifier> DecodeGbdtClassifier(
     std::string bytes, SnapshotDefect* defect = nullptr);
 Status SaveGbdtClassifier(const ml::GbdtClassifier& model,
                           const std::string& path);
-
-std::string EncodeRandomForestClassifier(
-    const ml::RandomForestClassifier& model);
-Result<ml::RandomForestClassifier> DecodeRandomForestClassifier(
-    std::string bytes, SnapshotDefect* defect = nullptr);
-
-std::string EncodeRandomForestRegressor(
-    const ml::RandomForestRegressor& model);
-Result<ml::RandomForestRegressor> DecodeRandomForestRegressor(
-    std::string bytes, SnapshotDefect* defect = nullptr);
-
-/// The featurizer's learned per-group history (its only mutable state;
-/// the feature schema itself is rebuilt from the group/catalog specs).
-std::string EncodeFeaturizerState(const core::Featurizer& featurizer);
-/// Decodes into an already-constructed featurizer via RestoreHistory.
-Status DecodeFeaturizerState(std::string bytes, core::Featurizer* featurizer,
-                             SnapshotDefect* defect = nullptr);
-
-/// Runs round-trip through Ingest on decode, so a snapshot whose records
-/// pass the checksums but hold semantically corrupt runs fails the load
-/// instead of silently indexing bad data. The audit trail (quarantined
-/// runs + per-reason counts) round-trips too.
-std::string EncodeTelemetryStore(const sim::TelemetryStore& store);
-Result<sim::TelemetryStore> DecodeTelemetryStore(
-    std::string bytes, SnapshotDefect* defect = nullptr);
 
 /// KLL sketch wire format (DESIGN.md §15), embedded inside a record that
 /// is already being written/read: fixed scalars (k, n, min/max as float

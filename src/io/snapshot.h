@@ -33,10 +33,9 @@ inline constexpr uint32_t kSnapshotFormatVersion = 1;
 enum class PayloadKind : uint32_t {
   kShapeLibrary = 1,
   kGbdtClassifier = 2,
-  kRandomForestClassifier = 3,
-  kRandomForestRegressor = 4,
-  kFeaturizerState = 5,
-  kTelemetryStore = 6,
+  // 3-6 are retired (random-forest classifier/regressor, featurizer
+  // history, telemetry store): files with those kinds may exist, so the
+  // numbers must never be reused for a new payload.
   kServingState = 7,
   kModelManifest = 8,
   kActivePointer = 9,

@@ -127,38 +127,6 @@ std::vector<double> RandomForestClassifier::PredictProba(
   return proba;
 }
 
-Result<RandomForestClassifier> RandomForestClassifier::Restore(
-    const ForestConfig& config, int num_classes, std::vector<Tree> trees,
-    std::vector<double> importance) {
-  if (num_classes < 2) {
-    return Status::InvalidArgument(
-        StrCat("restore needs >= 2 classes, got ", num_classes));
-  }
-  if (trees.empty()) {
-    return Status::InvalidArgument("restore holds no trees");
-  }
-  const int num_features = static_cast<int>(importance.size());
-  for (double g : importance) {
-    if (!std::isfinite(g) || g < 0.0) {
-      return Status::InvalidArgument(
-          "feature importance must be finite and >= 0");
-    }
-  }
-  for (size_t t = 0; t < trees.size(); ++t) {
-    Status st = ValidateTree(trees[t], num_features,
-                             static_cast<size_t>(num_classes));
-    if (!st.ok()) {
-      return Status::InvalidArgument(StrCat("tree ", t, ": ", st.message()));
-    }
-  }
-  RandomForestClassifier model(config);
-  model.num_classes_ = num_classes;
-  model.trees_ = std::move(trees);
-  for (const Tree& tree : model.trees_) model.flat_.Add(tree);
-  model.importance_ = std::move(importance);
-  return model;
-}
-
 RandomForestRegressor::RandomForestRegressor(ForestConfig config)
     : config_(config) {}
 
@@ -226,32 +194,6 @@ double RandomForestRegressor::Predict(const std::vector<double>& row) const {
     acc += flat_.PredictScalar(t, x);
   }
   return acc / static_cast<double>(trees_.size());
-}
-
-Result<RandomForestRegressor> RandomForestRegressor::Restore(
-    const ForestConfig& config, std::vector<Tree> trees,
-    std::vector<double> importance) {
-  if (trees.empty()) {
-    return Status::InvalidArgument("restore holds no trees");
-  }
-  const int num_features = static_cast<int>(importance.size());
-  for (double g : importance) {
-    if (!std::isfinite(g) || g < 0.0) {
-      return Status::InvalidArgument(
-          "feature importance must be finite and >= 0");
-    }
-  }
-  for (size_t t = 0; t < trees.size(); ++t) {
-    Status st = ValidateTree(trees[t], num_features, 1);
-    if (!st.ok()) {
-      return Status::InvalidArgument(StrCat("tree ", t, ": ", st.message()));
-    }
-  }
-  RandomForestRegressor model(config);
-  model.trees_ = std::move(trees);
-  for (const Tree& tree : model.trees_) model.flat_.Add(tree);
-  model.importance_ = std::move(importance);
-  return model;
 }
 
 }  // namespace ml

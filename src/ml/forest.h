@@ -37,13 +37,6 @@ class RandomForestClassifier : public Classifier {
  public:
   explicit RandomForestClassifier(ForestConfig config = {});
 
-  /// Reassembles a fitted forest from persisted parts (io/serialize.h);
-  /// validates every tree against the feature count (importance.size())
-  /// and class count before accepting.
-  static Result<RandomForestClassifier> Restore(
-      const ForestConfig& config, int num_classes, std::vector<Tree> trees,
-      std::vector<double> importance);
-
   Status Fit(const Dataset& d) override;
   std::vector<double> PredictProba(
       const std::vector<double>& row) const override;
@@ -56,13 +49,12 @@ class RandomForestClassifier : public Classifier {
   }
 
   const std::vector<Tree>& trees() const { return trees_; }
-  const ForestConfig& config() const { return config_; }
 
  private:
   ForestConfig config_;
   int num_classes_ = 0;
   std::vector<Tree> trees_;
-  // Compiled SoA view of trees_ for prediction; derived, never serialized.
+  // Compiled SoA view of trees_ for prediction.
   FlatForest flat_;
   std::vector<double> importance_;
 };
@@ -72,11 +64,6 @@ class RandomForestRegressor : public Regressor {
  public:
   explicit RandomForestRegressor(ForestConfig config = {});
 
-  /// Reassembles a fitted regression forest from persisted parts.
-  static Result<RandomForestRegressor> Restore(const ForestConfig& config,
-                                               std::vector<Tree> trees,
-                                               std::vector<double> importance);
-
   Status Fit(const Dataset& d) override;
   double Predict(const std::vector<double>& row) const override;
 
@@ -85,12 +72,11 @@ class RandomForestRegressor : public Regressor {
   }
 
   const std::vector<Tree>& trees() const { return trees_; }
-  const ForestConfig& config() const { return config_; }
 
  private:
   ForestConfig config_;
   std::vector<Tree> trees_;
-  // Compiled SoA view of trees_ for prediction; derived, never serialized.
+  // Compiled SoA view of trees_ for prediction.
   FlatForest flat_;
   std::vector<double> importance_;
 };

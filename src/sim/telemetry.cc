@@ -326,29 +326,5 @@ Result<TelemetryStore> TelemetryStore::ImportCsv(
   return FromCsv(csv, sku_names);
 }
 
-Status TelemetryStore::RestoreAudit(
-    std::vector<JobRun> quarantined,
-    const std::array<int64_t, kNumQuarantineReasons>& counts) {
-  if (!quarantined_.empty()) {
-    return Status::FailedPrecondition(
-        "RestoreAudit requires a store with an empty audit trail");
-  }
-  int64_t total = 0;
-  for (int64_t count : counts) {
-    if (count < 0) {
-      return Status::InvalidArgument("quarantine counts must be >= 0");
-    }
-    total += count;
-  }
-  if (total != static_cast<int64_t>(quarantined.size())) {
-    return Status::InvalidArgument(
-        StrCat("quarantine counts sum to ", total, " but ",
-               quarantined.size(), " quarantined runs were restored"));
-  }
-  quarantined_ = std::move(quarantined);
-  quarantine_counts_ = counts;
-  return Status::OK();
-}
-
 }  // namespace sim
 }  // namespace rvar

@@ -100,12 +100,6 @@ class TelemetryStore {
   static Result<TelemetryStore> ImportCsv(
       const std::string& path, const std::vector<std::string>& sku_names);
 
-  /// Reinstalls checkpointed audit state (io/serialize.h): quarantined
-  /// runs and their per-reason counts. Requires an empty audit (fresh
-  /// store) and counts that sum to the quarantined run count.
-  Status RestoreAudit(std::vector<JobRun> quarantined,
-                      const std::array<int64_t, kNumQuarantineReasons>& counts);
-
  private:
   /// True if the run is storable; otherwise sets `reason`.
   bool Validate(const JobRun& run, QuarantineReason* reason) const;

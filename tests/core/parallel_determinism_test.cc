@@ -1,13 +1,15 @@
 // Parallel-vs-serial determinism suite: every parallelized training or
 // build path must produce bit-identical artifacts whether it runs inline
-// (1 thread) or on the pool (8 threads). Models are compared through the
-// canonical snapshot encoders (src/io/serialize.h), so any drift in any
-// serialized field — tree structure, split thresholds, centroids, PMFs —
-// fails the byte comparison.
+// (1 thread) or on the pool (8 threads). Persisted models are compared
+// through their snapshot encoders (src/io/serialize.h) and the rest field
+// by field, so any drift — tree structure, split thresholds, centroids,
+// PMFs — fails the comparison.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -73,6 +75,36 @@ TEST_F(ParallelDeterminismTest, GbdtSnapshotIsByteIdentical) {
   EXPECT_EQ(serial, parallel);
 }
 
+// Field-by-field forest equality: the class count, the importance vector
+// and every node of every tree, with doubles compared as bit patterns.
+void ExpectForestsIdentical(const ml::RandomForestClassifier& a,
+                            const ml::RandomForestClassifier& b) {
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  const auto all_bits = [&](const std::vector<double>& vs) {
+    std::vector<uint64_t> out;
+    for (double v : vs) out.push_back(bits(v));
+    return out;
+  };
+  EXPECT_EQ(a.num_classes(), b.num_classes());
+  EXPECT_EQ(all_bits(a.feature_importance()),
+            all_bits(b.feature_importance()));
+  ASSERT_EQ(a.trees().size(), b.trees().size());
+  for (size_t t = 0; t < a.trees().size(); ++t) {
+    const std::vector<ml::TreeNode>& na = a.trees()[t].nodes;
+    const std::vector<ml::TreeNode>& nb = b.trees()[t].nodes;
+    ASSERT_EQ(na.size(), nb.size()) << "tree " << t;
+    for (size_t i = 0; i < na.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "tree " << t << " node " << i);
+      EXPECT_EQ(na[i].feature, nb[i].feature);
+      EXPECT_EQ(bits(na[i].threshold), bits(nb[i].threshold));
+      EXPECT_EQ(na[i].left, nb[i].left);
+      EXPECT_EQ(na[i].right, nb[i].right);
+      EXPECT_EQ(bits(na[i].cover), bits(nb[i].cover));
+      EXPECT_EQ(all_bits(na[i].value), all_bits(nb[i].value));
+    }
+  }
+}
+
 TEST_F(ParallelDeterminismTest, ForestSnapshotIsByteIdentical) {
   const ml::Dataset train = BlobsDataset(120, 32);
   auto [serial, parallel] = AtOneAndEightThreads([&] {
@@ -80,10 +112,10 @@ TEST_F(ParallelDeterminismTest, ForestSnapshotIsByteIdentical) {
     config.num_trees = 24;
     ml::RandomForestClassifier model(config);
     EXPECT_TRUE(model.Fit(train).ok());
-    return io::EncodeRandomForestClassifier(model);
+    return model;
   });
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, parallel);
+  ASSERT_FALSE(serial.trees().empty());
+  ExpectForestsIdentical(serial, parallel);
 }
 
 TEST_F(ParallelDeterminismTest, ForestImportanceIsExactlyReproduced) {

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <numeric>
 
 #include "core/baseline.h"
@@ -202,6 +204,51 @@ TEST_F(PipelineTest, IdentityTransformChangesNothing) {
   EXPECT_EQ(result->ChangedFraction(), 0.0);
 }
 
+// A model that answers `shape` for every run: zero boosting rounds, with
+// the base score alone deciding the softmax.
+std::shared_ptr<const ml::GbdtClassifier> ConstantModel(
+    const VariationPredictor& predictor, int shape) {
+  const int k = predictor.shapes().num_clusters();
+  std::vector<double> base_scores(static_cast<size_t>(k), 0.0);
+  base_scores[static_cast<size_t>(shape)] = 1.0;
+  auto model = ml::GbdtClassifier::Restore(
+      predictor.model().config(), k, std::move(base_scores),
+      std::vector<std::vector<ml::Tree>>(static_cast<size_t>(k)),
+      std::vector<double>(predictor.kept_features().size(), 0.0));
+  EXPECT_TRUE(model.ok()) << model.status().ToString();
+  return std::make_shared<const ml::GbdtClassifier>(std::move(*model));
+}
+
+// A SwapModel that lands mid-scenario must not pass for a feature-driven
+// migration: both sides of every run score against the epoch Run pinned.
+// The identity transform swaps the model once, a deterministic stand-in
+// for a concurrent swap between the "before" and "after" predictions.
+TEST_F(PipelineTest, WhatIfScoresBothSidesAgainstOneModelEpoch) {
+  const std::shared_ptr<const ml::GbdtClassifier> trained =
+      predictor_->ModelSnapshot();
+  ASSERT_TRUE(predictor_->SwapModel(ConstantModel(*predictor_, 0)).ok());
+  const std::shared_ptr<const ml::GbdtClassifier> other =
+      ConstantModel(*predictor_, 1);
+
+  sim::TelemetryStore slice;
+  ASSERT_TRUE(slice.Ingest(suite_->d3.telemetry.run(0)).ok());
+  std::atomic<bool> swapped{false};
+  WhatIfEngine engine(predictor_);
+  auto result = engine.Run(
+      slice, "swap-mid-run",
+      [&](const Featurizer&, std::vector<double>*) {
+        if (!swapped.exchange(true)) {
+          EXPECT_TRUE(predictor_->SwapModel(other).ok());
+        }
+      });
+  ASSERT_TRUE(predictor_->SwapModel(trained).ok());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(swapped.load());
+  EXPECT_EQ(result->num_runs, 1);
+  EXPECT_EQ(result->num_changed, 0);
+  EXPECT_EQ(result->transition_counts[0][0], 1);
+}
+
 TEST_F(PipelineTest, ReportsRenderNonEmpty) {
   EXPECT_FALSE(RenderDatasetSummary(*suite_).empty());
   EXPECT_FALSE(RenderShapeStats(predictor_->shapes()).empty());
@@ -232,7 +279,10 @@ TEST_F(PipelineTest, FeaturizerBuildsConsistentVectors) {
 }
 
 TEST_F(PipelineTest, PredictorRejectsWrongSizeFeatureVector) {
-  EXPECT_TRUE(predictor_->PredictFromFeatures({1.0, 2.0})
+  PredictScratch scratch;
+  EXPECT_TRUE(predictor_
+                  ->PredictFromFeatures(*predictor_->ModelSnapshot(),
+                                        {1.0, 2.0}, &scratch)
                   .status()
                   .IsInvalidArgument());
 }

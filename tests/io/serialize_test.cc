@@ -10,8 +10,8 @@
 #include "core/normalization.h"
 #include "core/shape_service.h"
 #include "ml/dataset.h"
-#include "sim/datasets.h"
 #include "sim/faults.h"
+#include "sim/telemetry.h"
 #include "unique_temp_dir.h"
 
 namespace rvar {
@@ -77,8 +77,6 @@ ml::Dataset Blobs(int n_per_class, uint64_t seed) {
       d.x.push_back({rng.Normal(centers[c][0], 0.6),
                      rng.Normal(centers[c][1], 0.6)});
       d.y.push_back(c);
-      d.target.push_back(centers[c][0] + centers[c][1] +
-                         rng.Normal(0.0, 0.1));
     }
   }
   return d;
@@ -156,37 +154,6 @@ TEST(SerializeGbdtTest, RoundTripPredictsIdentically) {
   }
 }
 
-TEST(SerializeForestTest, ClassifierRoundTripPredictsIdentically) {
-  ml::Dataset train = Blobs(100, 4);
-  ml::ForestConfig config;
-  config.num_trees = 10;
-  ml::RandomForestClassifier model(config);
-  ASSERT_TRUE(model.Fit(train).ok());
-
-  auto restored =
-      DecodeRandomForestClassifier(EncodeRandomForestClassifier(model));
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->num_classes(), model.num_classes());
-  for (const auto& row : train.x) {
-    EXPECT_EQ(model.PredictProba(row), restored->PredictProba(row));
-  }
-}
-
-TEST(SerializeForestTest, RegressorRoundTripPredictsIdentically) {
-  ml::Dataset train = Blobs(100, 5);
-  ml::ForestConfig config;
-  config.num_trees = 10;
-  ml::RandomForestRegressor model(config);
-  ASSERT_TRUE(model.Fit(train).ok());
-
-  auto restored =
-      DecodeRandomForestRegressor(EncodeRandomForestRegressor(model));
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  for (const auto& row : train.x) {
-    EXPECT_EQ(model.Predict(row), restored->Predict(row));
-  }
-}
-
 TEST(SerializeGbdtTest, MutatedImageNeverRoundTrips) {
   ml::Dataset train = Blobs(60, 6);
   ml::GbdtConfig config;
@@ -201,76 +168,6 @@ TEST(SerializeGbdtTest, MutatedImageNeverRoundTrips) {
         faults.FlipBits(image, /*num_flips=*/1 + trial % 5, trial));
     EXPECT_FALSE(mutated.ok());  // CRC catches every flip
   }
-}
-
-// --- Featurizer history --------------------------------------------------
-
-TEST(SerializeFeaturizerTest, HistoryRoundTrips) {
-  sim::SuiteConfig config;
-  config.num_groups = 30;
-  config.d1_days = 2.0;
-  config.d2_days = 1.0;
-  config.d3_days = 0.5;
-  config.d1_support = 5;
-  auto suite = sim::BuildStudySuite(config);
-  ASSERT_TRUE(suite.ok()) << suite.status().ToString();
-  const sim::SkuCatalog& catalog = suite->cluster->catalog();
-  core::Featurizer featurizer(&suite->groups, &catalog);
-  featurizer.SetHistory(suite->d1.telemetry);
-  ASSERT_FALSE(featurizer.history().empty());
-
-  core::Featurizer restored(&suite->groups, &catalog);
-  ASSERT_TRUE(
-      DecodeFeaturizerState(EncodeFeaturizerState(featurizer), &restored)
-          .ok());
-  ASSERT_EQ(restored.history().size(), featurizer.history().size());
-  for (const sim::JobRun& run : suite->d2.telemetry.runs()) {
-    auto a = featurizer.FeaturesFor(run);
-    auto b = restored.FeaturesFor(run);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b);
-  }
-}
-
-// --- TelemetryStore ------------------------------------------------------
-
-TEST(SerializeTelemetryTest, RoundTripsRunsAndAudit) {
-  sim::TelemetryStore store;
-  Rng rng(11);
-  for (int i = 0; i < 50; ++i) {
-    sim::JobRun run;
-    run.group_id = i % 5;
-    run.instance_id = i;
-    run.runtime_seconds = rng.Uniform(10.0, 100.0);
-    run.skyline = {{0.0, 4}, {run.runtime_seconds / 2, 2}};
-    run.sku_vertex_fraction = {0.5, 0.5};
-    run.sku_cpu_util = {0.4, 0.6};
-    (void)store.Ingest(run);
-    if (i % 10 == 0) (void)store.Ingest(run);  // duplicate -> quarantined
-  }
-  sim::JobRun corrupt;
-  corrupt.group_id = 1;
-  corrupt.instance_id = 999;
-  corrupt.runtime_seconds = -5.0;
-  (void)store.Ingest(corrupt);
-
-  auto restored = DecodeTelemetryStore(EncodeTelemetryStore(store));
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ASSERT_EQ(restored->NumRuns(), store.NumRuns());
-  ASSERT_EQ(restored->NumQuarantined(), store.NumQuarantined());
-  for (int reason = 0; reason < sim::kNumQuarantineReasons; ++reason) {
-    EXPECT_EQ(restored->QuarantineCount(
-                  static_cast<sim::QuarantineReason>(reason)),
-              store.QuarantineCount(
-                  static_cast<sim::QuarantineReason>(reason)));
-  }
-  for (size_t i = 0; i < store.NumRuns(); ++i) {
-    EXPECT_EQ(restored->run(i).instance_id, store.run(i).instance_id);
-    EXPECT_EQ(restored->run(i).runtime_seconds,
-              store.run(i).runtime_seconds);
-    EXPECT_EQ(restored->run(i).skyline, store.run(i).skyline);
-  }
-  EXPECT_EQ(restored->GroupIds(), store.GroupIds());
 }
 
 // --- ShapeService online state -------------------------------------------

@@ -139,7 +139,7 @@ TEST(SketchCodecTest, WrongPayloadKindIsRefused) {
   const KllSketch sketch = BuildSketch(64, 100, 13);
   BinaryWriter w;
   EncodeKllSketchInto(sketch, &w);
-  SnapshotWriter snap(PayloadKind::kTelemetryStore);  // wrong kind on purpose
+  SnapshotWriter snap(PayloadKind::kGbdtClassifier);  // wrong kind on purpose
   snap.AddRecord(w.bytes());
   SnapshotDefect defect = SnapshotDefect::kNone;
   EXPECT_FALSE(DecodeKllSketch(snap.Finish(), &defect).ok());

@@ -13,6 +13,7 @@
 
 #include "common/rng.h"
 #include "core/shape_library.h"
+#include "core/shape_service.h"
 #include "io/serialize.h"
 #include "io/snapshot.h"
 #include "sim/faults.h"
@@ -22,9 +23,9 @@ namespace rvar {
 namespace io {
 namespace {
 
-// A valid ShapeLibrary image to mutate: built from three synthetic shape
-// families, same recipe as serialize_test.
-std::string ValidLibraryImage() {
+// A library built from three synthetic shape families, same recipe as
+// serialize_test.
+core::ShapeLibrary MakeLibrary() {
   sim::TelemetryStore store;
   core::GroupMedians medians;
   Rng rng(17);
@@ -49,7 +50,26 @@ std::string ValidLibraryImage() {
   config.min_support = 10;
   auto library = core::ShapeLibrary::Build(store, medians, config);
   EXPECT_TRUE(library.ok()) << library.status().ToString();
-  return EncodeShapeLibrary(*library);
+  return *std::move(library);
+}
+
+// A valid ShapeLibrary image to mutate.
+std::string ValidLibraryImage() { return EncodeShapeLibrary(MakeLibrary()); }
+
+// A valid kShapeServiceState image to mutate: four groups, each with its
+// posterior sums and an embedded KLL sketch.
+std::string ValidServiceStateImage(const core::ShapeLibrary& library) {
+  auto service = core::ShapeService::Make(&library);
+  EXPECT_TRUE(service.ok()) << service.status().ToString();
+  Rng rng(29);
+  for (int gid : {0, 4, 9, 13}) {
+    for (int i = 0; i < 40; ++i) {
+      EXPECT_TRUE(
+          (*service)->Observe(gid, std::max(0.05, rng.Normal(1.0, 0.4)))
+              .ok());
+    }
+  }
+  return EncodeShapeServiceState(**service);
 }
 
 // Every decoder in io/serialize.h, driven over the same hostile input.
@@ -68,19 +88,20 @@ void ExpectAllDecodersReject(const std::string& bytes) {
     }
   }
   {
-    auto r = DecodeRandomForestClassifier(bytes);
+    auto r = DecodeShapeServiceState(bytes);
     if (!r.ok()) {
       EXPECT_FALSE(r.status().message().empty());
     }
   }
   {
-    auto r = DecodeRandomForestRegressor(bytes);
+    // The bare per-group record, as the recovery snapshot embeds it.
+    auto r = DecodeGroupRecord(bytes);
     if (!r.ok()) {
       EXPECT_FALSE(r.status().message().empty());
     }
   }
   {
-    auto r = DecodeTelemetryStore(bytes);
+    auto r = DecodeKllSketch(bytes);
     if (!r.ok()) {
       EXPECT_FALSE(r.status().message().empty());
     }
@@ -153,6 +174,45 @@ TEST(SnapshotFuzzTest, TruncatedValidImagesNeverCrash) {
   // Every prefix of the header region, byte by byte.
   for (size_t len = 0; len < 32 && len < image.size(); ++len) {
     EXPECT_FALSE(DecodeShapeLibrary(image.substr(0, len)).ok());
+  }
+}
+
+TEST(SnapshotFuzzTest, MutatedServiceStateImagesNeverCrash) {
+  const core::ShapeLibrary library = MakeLibrary();
+  const std::string image = ValidServiceStateImage(library);
+  const sim::StorageFaultPlan faults(47);
+  for (int trial = 0; trial < 256; ++trial) {
+    std::string mutated =
+        faults.FlipBits(image, /*num_flips=*/1 + trial % 8, trial);
+    ExpectAllDecodersReject(mutated);
+    // Either the CRC catches the flip, or (flips that cancel) the decoded
+    // states restore into a service that re-encodes to the original.
+    auto decoded = DecodeShapeServiceState(mutated);
+    if (decoded.ok()) {
+      auto restored = core::ShapeService::Make(&library);
+      ASSERT_TRUE(restored.ok());
+      ASSERT_TRUE((*restored)->RestoreState(*decoded).ok());
+      EXPECT_EQ(EncodeShapeServiceState(**restored), image)
+          << "mutated image decoded to different state, trial " << trial;
+    }
+  }
+}
+
+TEST(SnapshotFuzzTest, TruncatedServiceStateImagesNeverCrash) {
+  const std::string image = ValidServiceStateImage(MakeLibrary());
+  const sim::StorageFaultPlan faults(95);
+  for (int trial = 0; trial < 128; ++trial) {
+    const std::string torn =
+        faults.TruncateTail(image, /*max_fraction=*/0.9, trial);
+    ASSERT_LT(torn.size(), image.size());
+    ExpectAllDecodersReject(torn);
+    SnapshotDefect defect = SnapshotDefect::kNone;
+    auto decoded = DecodeShapeServiceState(torn, &defect);
+    EXPECT_FALSE(decoded.ok());
+    EXPECT_NE(defect, SnapshotDefect::kNone);
+  }
+  for (size_t len = 0; len < 32 && len < image.size(); ++len) {
+    EXPECT_FALSE(DecodeShapeServiceState(image.substr(0, len)).ok());
   }
 }
 

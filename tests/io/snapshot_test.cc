@@ -139,7 +139,7 @@ TEST(SnapshotTest, ClassifiesDefects) {
 
   // Intact file, wrong payload kind.
   EXPECT_FALSE(
-      SnapshotReader::Open(image, PayloadKind::kTelemetryStore, &defect)
+      SnapshotReader::Open(image, PayloadKind::kGbdtClassifier, &defect)
           .ok());
   EXPECT_EQ(defect, SnapshotDefect::kWrongPayloadKind);
 

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "core/predictor.h"
 #include "core/shape_service.h"
+#include "obs/metrics.h"
 #include "serve/admission.h"
 #include "serve/circuit_breaker.h"
 #include "serve/frontend.h"
@@ -433,6 +435,86 @@ TEST_F(FrontendTest, ShardRoutedQueuesServeEveryShardCorrectly) {
   for (size_t s = 0; s < (*frontend)->num_shards(); ++s) {
     EXPECT_EQ((*frontend)->shard_queue_depth(s), 0u);
   }
+}
+
+// Differential oracle under concurrent load: four client threads submit
+// every D3 run without waiting, so shard queues back up past 32 requests
+// and PredictShapeBatchInto takes its ParallelFor path inside the
+// workers. Every full-model answer must equal PredictShapeBatch for the
+// epoch the service publishes.
+TEST_F(FrontendTest, ConcurrentFullModelAnswersMatchBatchOracle) {
+  core::ShapeService::Options sopts;
+  sopts.num_shards = 8;
+  auto service = core::ShapeService::Make(&predictor_->shapes(), sopts);
+  ASSERT_TRUE(service.ok());
+  (*service)->SwapModel(predictor_->ModelSnapshot());
+
+  const std::vector<sim::JobRun>& runs = suite_->d3.telemetry.runs();
+  std::vector<const sim::JobRun*> batch;
+  for (const sim::JobRun& run : runs) batch.push_back(&run);
+  auto oracle = predictor_->PredictShapeBatch(batch);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+
+  constexpr size_t kClients = 4;
+  FrontendOptions fopts = FastOptions();
+  fopts.num_workers = 2;
+  fopts.max_batch = 64;
+  // Long enough that each shard's first batch waits for a full 64.
+  fopts.batch_linger = std::chrono::milliseconds(250);
+  fopts.default_deadline = std::chrono::milliseconds(60000);
+  // Admit everything, even if every request hashes to one shard's slice:
+  // the test is about answers, not shedding.
+  fopts.admission.queue_capacity = 8 * kClients * runs.size();
+  fopts.admission.best_effort_watermark = fopts.admission.queue_capacity;
+  fopts.admission.standard_watermark = fopts.admission.queue_capacity;
+  fopts.admission.bucket.rate_per_second = 1e9;
+  fopts.admission.bucket.burst = 1e9;
+  auto frontend = ServingFrontend::Make(service->get(), predictor_, fopts);
+  ASSERT_TRUE(frontend.ok()) << frontend.status().ToString();
+
+  // Batches of more than 32 requests, counted from the histogram buckets
+  // whose lower edge is at least 32.
+  obs::Histogram* batch_sizes =
+      obs::Registry::Default().GetHistogram("serve_batch_size");
+  const auto large_batches = [batch_sizes] {
+    const std::vector<int64_t> counts = batch_sizes->BucketCounts();
+    int64_t large = 0;
+    for (size_t i = 1; i < counts.size(); ++i) {
+      if (batch_sizes->BucketUpperBound(static_cast<int>(i) - 1) >= 32.0) {
+        large += counts[i];
+      }
+    }
+    return large;
+  };
+  const int64_t large_before = large_batches();
+
+  std::vector<std::vector<std::future<PredictResponse>>> futures(kClients);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      futures[c].reserve(runs.size());
+      for (const sim::JobRun& run : runs) {
+        PredictRequest request;
+        request.run = &run;
+        futures[c].push_back((*frontend)->Submit(request));
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+
+  size_t full = 0;
+  for (size_t c = 0; c < kClients; ++c) {
+    for (size_t i = 0; i < runs.size(); ++i) {
+      const PredictResponse response = futures[c][i].get();
+      ASSERT_TRUE(response.served()) << ShedReasonName(response.shed);
+      if (response.level != DegradationLevel::kFullModel) continue;
+      ++full;
+      EXPECT_EQ(response.shape, (*oracle)[i])
+          << "client " << c << " run " << i;
+    }
+  }
+  EXPECT_EQ(full, kClients * runs.size());
+  EXPECT_GT(large_batches(), large_before);
 }
 
 TEST_F(FrontendTest, ExpiredDeadlineIsShedNotServedLate) {
