@@ -84,17 +84,10 @@ Status PosteriorAssigner::LogLikelihoodsInto(
         "all observations are NaN; cannot compute likelihoods");
   }
   const double n = static_cast<double>(num_binned);
-  const size_t num_bins = pmf_scratch->size();
   out->clear();
   out->reserve(static_cast<size_t>(log_pmf_->num_clusters()));
-  const double* pmf = pmf_scratch->data();
   for (int c = 0; c < log_pmf_->num_clusters(); ++c) {
-    const double* lp = log_pmf_->row(c);
-    double dot = 0.0;
-    for (size_t h = 0; h < num_bins; ++h) {
-      if (pmf[h] > 0.0) dot += pmf[h] * lp[h];
-    }
-    out->push_back({c, n * dot});
+    out->push_back({c, n * log_pmf_->Dot(c, *pmf_scratch)});
   }
   return Status::OK();
 }

@@ -50,6 +50,21 @@ class ClusterLogPmf {
     return log_pmf_.data() + static_cast<size_t>(c) * num_bins_;
   }
 
+  /// Equation 9's inner product for cluster `c`: the sum over bins with
+  /// weights[h] > 0 of weights[h] * log(theta_h^c), accumulated in
+  /// ascending h. `weights` holds num_bins() per-bin counts or PMF mass.
+  /// The assigner's labels and ShapeService's prior answers both score
+  /// through here, so they share one operation order.
+  double Dot(int c, const std::vector<double>& weights) const {
+    RVAR_CHECK_EQ(weights.size(), static_cast<size_t>(num_bins_));
+    const double* lp = row(c);
+    double dot = 0.0;
+    for (size_t h = 0; h < weights.size(); ++h) {
+      if (weights[h] > 0.0) dot += weights[h] * lp[h];
+    }
+    return dot;
+  }
+
  private:
   ClusterLogPmf() = default;
 

@@ -88,7 +88,7 @@ void OnlineShapeTracker::Observe(double normalized_runtime) {
 }
 
 int OnlineShapeTracker::MostLikely() const {
-  if (count_ == 0) return -1;
+  if (count_ == 0) return library_->GlobalPriorShape();
   return static_cast<int>(
       std::max_element(ll_.begin(), ll_.end()) - ll_.begin());
 }

@@ -86,7 +86,8 @@ class OnlineShapeTracker {
   /// Non-finite observations seen so far (NaN dropped, ±inf clamped).
   int64_t num_clamped() const { return num_clamped_; }
 
-  /// Most likely cluster so far; -1 before any observation.
+  /// Most likely cluster so far (lowest index on ties);
+  /// ShapeLibrary::GlobalPriorShape() before any observation.
   int MostLikely() const;
 
   /// Posterior probabilities over clusters (uniform prior). Uniform

@@ -316,6 +316,14 @@ const ShapeStats& ShapeLibrary::stats(int k) const {
   return stats_[static_cast<size_t>(k)];
 }
 
+int ShapeLibrary::GlobalPriorShape() const {
+  int best = 0;
+  for (int k = 1; k < num_clusters(); ++k) {
+    if (stats(k).num_samples > stats(best).num_samples) best = k;
+  }
+  return best;
+}
+
 int ShapeLibrary::ReferenceAssignment(int group_id) const {
   const auto it = reference_assignment_.find(group_id);
   return it == reference_assignment_.end() ? -1 : it->second;

@@ -3,10 +3,12 @@
 // The shape library (Section 4.2): canonical runtime-distribution shapes
 // discovered by clustering the smoothed PMFs of high-support job groups in
 // the historic dataset (D1). Each shape carries the Table 2 statistics
-// (outlier probability, 25-75th gap, 95th percentile, stddev), computed
-// from the raw pooled normalized runtimes of its member groups. Clusters
-// are relabeled in increasing 25-75th-gap order, matching the paper's
-// ranking.
+// (outlier probability, 25-75th gap, 95th percentile, stddev) of the
+// pooled normalized runtimes of its member groups. In the default sketch
+// mode the 25-75th gap and 95th percentile come from the members' merged
+// KLL sketches and carry the sketch's rank error; the sample count,
+// outlier probability and stddev stay exact. Clusters are relabeled in
+// increasing 25-75th-gap order, matching the paper's ranking.
 
 #ifndef RVAR_CORE_SHAPE_LIBRARY_H_
 #define RVAR_CORE_SHAPE_LIBRARY_H_
@@ -87,8 +89,15 @@ class ShapeLibrary {
   /// Canonical PMF of cluster `k` (length num_bins, sums to 1).
   const std::vector<double>& shape(int k) const;
 
-  /// Raw-sample statistics of cluster `k` (the Table 2 row).
+  /// Pooled-sample statistics of cluster `k` (the Table 2 row); see the
+  /// file comment for which fields are exact in sketch mode.
   const ShapeStats& stats(int k) const;
+
+  /// The global prior's argmax: the cluster holding the most pooled
+  /// reference samples, lowest index on ties (so all-zero stats, e.g. a
+  /// synthetic library, answer 0). The shape answered for a group with no
+  /// observations.
+  int GlobalPriorShape() const;
 
   /// Cluster assigned (by k-means) to a reference group, or -1 if the
   /// group did not qualify.

@@ -25,23 +25,11 @@ ShapeService::ShapeService(const ShapeLibrary* library, Options options,
   observe_total_ = registry.GetCounter("shape_service_observe_total");
   observe_rejected_ = registry.GetCounter("shape_service_observe_rejected");
   model_swaps_total_ = registry.GetCounter("shape_service_model_swaps_total");
-  pmf_cache_hits_ = registry.GetCounter("shape_service_pmf_cache_hits");
-  pmf_cache_misses_ = registry.GetCounter("shape_service_pmf_cache_misses");
   for (size_t s = 0; s < num_shards_; ++s) {
     shards_[s].observe_total = registry.GetCounter(
         "shape_service_shard_observe_total", "shard", StrCat(s));
     shards_[s].contention = registry.GetCounter(
         "shape_service_shard_contention_total", "shard", StrCat(s));
-  }
-  // Global prior: the cluster with the most pooled reference samples.
-  // Ties (and all-zero stats, e.g. a synthetic library) resolve to the
-  // lowest index, so the answer is always a valid cluster.
-  int64_t best_mass = -1;
-  for (int k = 0; k < library_->num_clusters(); ++k) {
-    if (library_->stats(k).num_samples > best_mass) {
-      best_mass = library_->stats(k).num_samples;
-      global_prior_shape_ = k;
-    }
   }
 }
 
@@ -75,11 +63,6 @@ Result<std::unique_ptr<ShapeService>> ShapeService::Make(
     return Status::InvalidArgument(
         StrCat("ShapeService options.sketch_k must be in [", KllSketch::kMinK,
                ", ", KllSketch::kMaxK, "], got ", options.sketch_k));
-  }
-  if (options.pmf_cache_entries < 0) {
-    return Status::InvalidArgument(
-        StrCat("ShapeService options.pmf_cache_entries must be >= 0, got ",
-               options.pmf_cache_entries));
   }
   // Build the shared log theta table once; every per-group tracker (and
   // the Eq. 9 prior scorer) reference it instead of holding a copy, so
@@ -134,14 +117,14 @@ Status ShapeService::Observe(int group_id, double normalized_runtime) {
   if (it == shard.groups.end()) {
     it = shard.groups
              .emplace(group_id,
-                      GroupEntry(*OnlineShapeTracker::Make(
+                      GroupEntry{*OnlineShapeTracker::Make(
                           library_, log_pmf_, options_.decay,
-                          options_.sketch_k)))
+                          options_.sketch_k)})
              .first;
   }
   GroupEntry& entry = it->second;
   entry.tracker.Observe(normalized_runtime);
-  ++entry.version;  // invalidates any cached reconstruction
+  entry.prior_shape = -1;  // the next PriorShape rescores the sketch
   ++shard.total_observations;
   return Status::OK();
 }
@@ -164,53 +147,8 @@ int ShapeService::MostLikely(int group_id) const {
   Shard& shard = shards_[shard_index];
   std::unique_lock<std::mutex> lock = LockShard(shard_index);
   const auto it = shard.groups.find(group_id);
-  return it == shard.groups.end() ? -1 : it->second.tracker.MostLikely();
-}
-
-const ShapeService::CacheEntry& ShapeService::ReconstructLocked(
-    Shard& shard, int group_id, const GroupEntry& entry) const {
-  if (options_.pmf_cache_entries > 0) {
-    const auto it = shard.pmf_cache.find(group_id);
-    if (it != shard.pmf_cache.end() && it->second.version == entry.version) {
-      pmf_cache_hits_->Increment();
-      return it->second;
-    }
-  }
-  pmf_cache_misses_->Increment();
-  CacheEntry* slot;
-  if (options_.pmf_cache_entries > 0) {
-    if (shard.pmf_cache.size() >=
-            static_cast<size_t>(options_.pmf_cache_entries) &&
-        shard.pmf_cache.find(group_id) == shard.pmf_cache.end()) {
-      // Overflow clears the whole shard cache: cheap, deterministic, and
-      // correctness never depends on what stays resident.
-      shard.pmf_cache.clear();
-    }
-    slot = &shard.pmf_cache[group_id];
-  } else {
-    slot = &shard.reconstruct_scratch;
-  }
-  slot->version = entry.version;
-  entry.tracker.sketch().BinCountsInto(library_->grid(), &slot->counts);
-  // Equation 9 over the reconstructed counts: argmax_c sum_h n_h log
-  // theta_h^c. With decay 1 and an exact-mode sketch this recovers the
-  // tracker's running-sum argmax — the counts are the same tallies the
-  // tracker accumulated one observation at a time.
-  int best = 0;
-  double best_ll = -std::numeric_limits<double>::infinity();
-  for (int c = 0; c < log_pmf_->num_clusters(); ++c) {
-    const double* lp = log_pmf_->row(c);
-    double ll = 0.0;
-    for (size_t h = 0; h < slot->counts.size(); ++h) {
-      if (slot->counts[h] > 0.0) ll += slot->counts[h] * lp[h];
-    }
-    if (ll > best_ll) {
-      best_ll = ll;
-      best = c;
-    }
-  }
-  slot->shape = best;
-  return *slot;
+  return it == shard.groups.end() ? library_->GlobalPriorShape()
+                                  : it->second.tracker.MostLikely();
 }
 
 int ShapeService::PriorShape(int group_id) const {
@@ -220,9 +158,30 @@ int ShapeService::PriorShape(int group_id) const {
   std::unique_lock<std::mutex> lock = LockShard(shard_index);
   const auto it = shard.groups.find(group_id);
   if (it == shard.groups.end() || it->second.tracker.count() == 0) {
-    return global_prior_shape_;
+    return library_->GlobalPriorShape();
   }
-  return ReconstructLocked(shard, group_id, it->second).shape;
+  GroupEntry& entry = it->second;
+  if (entry.prior_shape < 0) {
+    // Equation 9 over the reconstructed counts: argmax_c sum_h n_h log
+    // theta_h^c. With decay 1 and an exact-mode sketch this recovers the
+    // tracker's running-sum argmax — the counts are the same tallies the
+    // tracker accumulated one observation at a time.
+    // Reused per thread: allocating the buffer on every miss showed up
+    // in perfbench's core.drift_query_p99_us.
+    thread_local std::vector<double> counts;
+    entry.tracker.sketch().BinCountsInto(library_->grid(), &counts);
+    int best = 0;
+    double best_ll = -std::numeric_limits<double>::infinity();
+    for (int c = 0; c < log_pmf_->num_clusters(); ++c) {
+      const double ll = log_pmf_->Dot(c, counts);
+      if (ll > best_ll) {
+        best_ll = ll;
+        best = c;
+      }
+    }
+    entry.prior_shape = best;
+  }
+  return entry.prior_shape;
 }
 
 bool ShapeService::ReconstructPmf(int group_id,
@@ -232,13 +191,13 @@ bool ShapeService::ReconstructPmf(int group_id,
   Shard& shard = shards_[shard_index];
   std::unique_lock<std::mutex> lock = LockShard(shard_index);
   const auto it = shard.groups.find(group_id);
-  if (it == shard.groups.end()) {
+  if (it == shard.groups.end() || it->second.tracker.count() == 0) {
     pmf->clear();
     return false;
   }
-  *pmf = ReconstructLocked(shard, group_id, it->second).counts;
+  it->second.tracker.sketch().BinCountsInto(library_->grid(), pmf);
   lock.unlock();
-  // Normalize + smooth outside the lock: the copy is ours now.
+  // Normalize + smooth outside the lock: the counts are ours now.
   ShapeLibrary::FinishObservationPmfInPlace(
       pmf, library_->config().smoothing_radius);
   return true;
@@ -305,9 +264,6 @@ bool ShapeService::Forget(int group_id) {
   if (it == shard.groups.end()) return false;
   shard.total_observations -= it->second.tracker.count();
   shard.groups.erase(it);
-  // A later group with the same id restarts its version stamp at 0, so
-  // the cached reconstruction must go with the state.
-  shard.pmf_cache.erase(group_id);
   return true;
 }
 
@@ -378,7 +334,7 @@ Status ShapeService::RestoreState(const std::vector<GroupState>& states) {
         OnlineShapeTracker::Make(library_, log_pmf_, options_.decay,
                                  options_.sketch_k));
     RVAR_RETURN_NOT_OK(tracker.RestoreState(state));
-    restored.emplace_back(state.group_id, GroupEntry(std::move(tracker)));
+    restored.emplace_back(state.group_id, GroupEntry{std::move(tracker)});
   }
   for (size_t i = 1; i < restored.size(); ++i) {
     if (restored[i].first <= restored[i - 1].first) {
@@ -395,9 +351,6 @@ Status ShapeService::RestoreState(const std::vector<GroupState>& states) {
   }
   for (size_t s = 0; s < num_shards_; ++s) {
     shards_[s].groups.clear();
-    // Version stamps restart at 0 with the replaced state, so every
-    // cached reconstruction is stale by construction.
-    shards_[s].pmf_cache.clear();
     shards_[s].total_observations = 0;
   }
   for (auto& [gid, entry] : restored) {

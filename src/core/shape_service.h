@@ -39,8 +39,9 @@ namespace core {
 /// \brief Concurrent per-group shape tracking over a fixed library.
 ///
 /// All methods are safe to call from any number of threads. Group state is
-/// created on first Observe; queries for never-observed groups answer from
-/// the uniform prior (the same answer a fresh tracker gives).
+/// created on first Observe; queries for never-observed groups give the
+/// same answers as a fresh tracker (a uniform posterior, and
+/// ShapeLibrary::GlobalPriorShape() as the shape).
 class ShapeService {
  public:
   struct Options {
@@ -59,12 +60,6 @@ class ShapeService {
     /// groups keep the k their snapshot carries (sketches are never
     /// merged, so mixed k is safe).
     int sketch_k = KllSketch::kDefaultK;
-    /// Per-shard capacity of the reconstructed-PMF cache serving
-    /// PriorShape/ReconstructPmf (entries, not bytes; a 200-bin entry is
-    /// ~1.7 KB). 0 disables caching. The cache never changes an answer —
-    /// entries are invalidated by a per-group version stamp bumped on
-    /// every state change.
-    int pmf_cache_entries = 1024;
   };
 
   /// \param library must outlive the service. Rejects decay outside
@@ -87,31 +82,22 @@ class ShapeService {
   /// Posterior over shapes for the group; uniform for unknown groups.
   std::vector<double> Posterior(int group_id) const;
 
-  /// Most likely shape for the group; -1 for unknown / unobserved groups.
-  /// Callers serving this as data should substitute GlobalPriorShape()
-  /// for the -1 sentinel (see serve/frontend.cc).
+  /// The tracker's posterior mode (argmax of its running Eq. 3 sums);
+  /// ShapeLibrary::GlobalPriorShape() for unknown or empty groups.
   int MostLikely(int group_id) const;
 
-  /// Argmax of the library's global prior: the cluster holding the most
-  /// pooled reference samples (lowest index wins ties). Always a valid
-  /// cluster in [0, num_clusters) — the fallback answer for groups no
-  /// tracker has ever seen.
-  int GlobalPriorShape() const { return global_prior_shape_; }
-
   /// The serving prior rung's answer (serve/frontend.cc): the Eq. 9
-  /// posterior argmax over the group's *reconstructed* observation PMF —
-  /// per-bin counts rebuilt on demand from the group's quantile sketch
-  /// and scored against the shared log theta table — falling back to
-  /// GlobalPriorShape() for unknown (or empty) groups. Always a valid
-  /// cluster. Reconstructions are memoized in a per-shard cache keyed by
-  /// the group's version stamp, so repeated prior queries between
-  /// observations cost one map lookup.
+  /// posterior argmax over per-bin counts rebuilt from the group's
+  /// quantile sketch and scored against the shared log theta table;
+  /// ShapeLibrary::GlobalPriorShape() for unknown or empty groups. The
+  /// answer is memoized on the group until its next Observe, so repeated
+  /// queries between observations cost one map lookup.
   int PriorShape(int group_id) const;
 
   /// Reconstructs the group's smoothed, normalized observation PMF (the
   /// ShapeLibrary::ObservationPmf representation) from its sketch into
-  /// `pmf`. Returns false (and clears `pmf`) for unknown groups. Shares
-  /// the PriorShape reconstruction cache.
+  /// `pmf`. Returns false (and clears `pmf`) for unknown or empty groups,
+  /// the same groups PriorShape answers from the global prior.
   bool ReconstructPmf(int group_id, std::vector<double>* pmf) const;
 
   /// Drift score: posterior probability the group still follows `cluster`.
@@ -180,39 +166,19 @@ class ShapeService {
   const Options& options() const { return options_; }
 
  private:
-  /// One tracked group: its tracker and a version stamp bumped on every
-  /// mutation (the reconstruction cache's invalidation key).
+  /// One tracked group: its tracker and its memoized PriorShape answer
+  /// (-1 until the first query after an Observe or a restore).
   struct GroupEntry {
-    explicit GroupEntry(OnlineShapeTracker tracker_in)
-        : tracker(std::move(tracker_in)) {}
     OnlineShapeTracker tracker;
-    uint64_t version = 0;
-  };
-
-  /// One cached PMF reconstruction: valid while the group's version stamp
-  /// still matches. `counts` is the raw BinCountsInto output (unsmoothed,
-  /// unnormalized) so both the Eq. 9 scorer and ReconstructPmf can reuse
-  /// it.
-  struct CacheEntry {
-    uint64_t version = 0;
-    int shape = 0;
-    std::vector<double> counts;
+    int prior_shape = -1;
   };
 
   /// One share-nothing partition: group map, observation total, obs
-  /// counters, reconstruction cache, and a replica of the published model
-  /// epoch. Nothing in a shard is ever touched under another shard's
-  /// mutex.
+  /// counters, and a replica of the published model epoch. Nothing in a
+  /// shard is ever touched under another shard's mutex.
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<int, GroupEntry> groups;
-    /// PMF reconstruction memo; guarded by mu. Bounded at
-    /// options.pmf_cache_entries — overflow clears the whole map (cheap,
-    /// deterministic, and correctness never depends on residency).
-    mutable std::unordered_map<int, CacheEntry> pmf_cache;
-    /// Reconstruction target when caching is disabled (entries = 0);
-    /// guarded by mu like the cache it substitutes for.
-    mutable CacheEntry reconstruct_scratch;
     int64_t total_observations = 0;  ///< guarded by mu
     /// Shard-local epoch replica; atomic shared_ptr access only.
     std::shared_ptr<const ml::GbdtClassifier> model;
@@ -230,11 +196,6 @@ class ShapeService {
   /// so contention metrics only ever reflect serving traffic.
   std::unique_lock<std::mutex> LockShard(size_t shard_index) const;
 
-  /// Looks up (or rebuilds) the group's cached reconstruction. Caller
-  /// holds the shard lock; returns the up-to-date entry for `entry`.
-  const CacheEntry& ReconstructLocked(Shard& shard, int group_id,
-                                      const GroupEntry& entry) const;
-
   const ShapeLibrary* library_;
   Options options_;
   /// Shared log theta table (ClusterLogPmf): one copy serves every
@@ -242,7 +203,6 @@ class ShapeService {
   std::shared_ptr<const ClusterLogPmf> log_pmf_;
   std::unique_ptr<Shard[]> shards_;
   size_t num_shards_;
-  int global_prior_shape_ = 0;
 
   // The published classifier (global slot mirrored into every shard's
   // replica). Atomic shared_ptr access only — no mutex anywhere on the
@@ -255,8 +215,6 @@ class ShapeService {
   obs::Counter* observe_total_;
   obs::Counter* observe_rejected_;  ///< negative ids / non-finite samples
   obs::Counter* model_swaps_total_;               ///< SwapModel() calls
-  obs::Counter* pmf_cache_hits_;    ///< reconstruction served from cache
-  obs::Counter* pmf_cache_misses_;  ///< reconstruction recomputed
 };
 
 }  // namespace core

@@ -312,15 +312,22 @@ void ForestAccumulateAvx2(const int32_t* feature, const int32_t* fidx,
   const __m256i pack_even = _mm256_set_epi32(7, 5, 3, 1, 6, 4, 2, 0);
   const __m128i bs = _mm_set1_epi32(static_cast<int>(block_stride));
   const __m128i zero = _mm_setzero_si128();
+  // The masked gather with every lane enabled emits the same vgatherdpd as
+  // _mm256_i32gather_pd; gcc 12's header for the unmasked form reads an
+  // uninitialized source register and trips -Wmaybe-uninitialized.
+  const __m256d gather_all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
   // One lockstep step for a 4-row group; returns true once every lane is
   // at a leaf (feature == -1 — all gathered sign bits set).
   const auto step4 = [&](__m128i& node, __m128i roff) {
     const __m128i f = _mm_i32gather_epi32(f_p, node, 4);
     if (_mm_movemask_ps(_mm_castsi128_ps(f)) == 0xF) return true;
     const __m128i fi = _mm_max_epi32(f, zero);  // guarded feature slot
-    const __m256d thv = _mm256_i32gather_pd(threshold, node, 8);
+    const __m256d thv = _mm256_mask_i32gather_pd(_mm256_setzero_pd(),
+                                                 threshold, node, gather_all,
+                                                 8);
     const __m128i vidx = _mm_add_epi32(_mm_mullo_epi32(fi, bs), roff);
-    const __m256d xv = _mm256_i32gather_pd(block, vidx, 8);
+    const __m256d xv = _mm256_mask_i32gather_pd(_mm256_setzero_pd(), block,
+                                                vidx, gather_all, 8);
     const __m256d le = _mm256_cmp_pd(xv, thv, _CMP_LE_OQ);
     const __m128i lv = _mm_i32gather_epi32(l_p, node, 4);
     const __m128i rv = _mm_i32gather_epi32(r_p, node, 4);

@@ -380,10 +380,9 @@ void ServingFrontend::RespondModelBatch(std::vector<Pending>* batch,
 
 void ServingFrontend::RespondPrior(Pending* pending) {
   PredictResponse response;
-  // PriorShape scores the group's reconstructed observation PMF (rebuilt
-  // from its quantile sketch) against the shared log theta table, and
-  // already substitutes the global-prior argmax for unknown groups — so
-  // the answer is always a valid shape, still labeled kPrior so the
+  // PriorShape scores the group's sketch-reconstructed counts against the
+  // shared log theta table and answers the global-prior argmax for unknown
+  // groups, so the answer is always a valid shape, labeled kPrior so the
   // caller sees a degraded — but real — answer.
   response.shape = service_->PriorShape(pending->request.run->group_id);
   response.level = DegradationLevel::kPrior;

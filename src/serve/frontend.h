@@ -17,9 +17,9 @@
 //   full model  ->  pinned stale model epoch (per shard)  ->  prior
 //
 // so a sick, quarantined, or mid-swap model yields *degraded answers,
-// never errors or blocking* — and the prior rung never leaks the
-// MostLikely() -1 sentinel as data: never-observed groups answer with
-// the library's global-prior argmax, still labeled kPrior. Expired
+// never errors or blocking* — and the prior rung always answers a valid
+// shape: never-observed groups get the library's global-prior argmax,
+// still labeled kPrior. Expired
 // requests are shed with a labeled response instead of being served
 // late. Every admission decision, shed, breaker transition, and
 // degradation level lands on the obs metrics surfaces (serve_*

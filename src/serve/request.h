@@ -34,9 +34,8 @@ const char* PriorityName(Priority priority);
 enum class DegradationLevel : int {
   kFullModel = 0,  ///< shard-local replica of the live classifier epoch
   kStaleModel = 1, ///< shard's pinned last-known-good epoch (breaker open)
-  /// Tracker posterior, no model at all. Never-observed groups answer
-  /// with the library's global-prior argmax — the -1 sentinel MostLikely
-  /// returns for them is never emitted as data.
+  /// ShapeService::PriorShape, no model at all. Never-observed groups
+  /// answer with ShapeLibrary::GlobalPriorShape().
   kPrior = 2,
 };
 inline constexpr int kNumDegradationLevels = 3;

@@ -135,7 +135,8 @@ TEST(OnlineTrackerErrorTest, MakeRejectsBadDecayAndFloor) {
   // And the happy path still works on the same library.
   auto tracker = core::OnlineShapeTracker::Make(&*library, 0.9);
   ASSERT_TRUE(tracker.ok());
-  EXPECT_EQ(tracker->MostLikely(), -1);  // no observations yet
+  // No observations yet: the global prior's shape, never a -1 sentinel.
+  EXPECT_EQ(tracker->MostLikely(), library->GlobalPriorShape());
 
   // Assigner error paths on the same library.
   core::PosteriorAssigner assigner(&*library);

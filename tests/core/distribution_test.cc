@@ -161,7 +161,7 @@ TEST_F(DistributionTest, MakeRejectsBadArguments) {
 TEST_F(DistributionTest, OnlineTrackerConvergesToTrueShape) {
   auto tracker = OnlineShapeTracker::Make(library_);
   ASSERT_TRUE(tracker.ok());
-  EXPECT_EQ(tracker->MostLikely(), -1);
+  EXPECT_EQ(tracker->MostLikely(), library_->GlobalPriorShape());
   Rng rng(11);
   for (int i = 0; i < 50; ++i) {
     tracker->Observe(rng.Bernoulli(0.4) ? rng.Normal(3.0, 0.1)
@@ -217,7 +217,7 @@ TEST_F(DistributionTest, OnlineTrackerResets) {
   tracker->Observe(1.0);
   tracker->Reset();
   EXPECT_EQ(tracker->count(), 0);
-  EXPECT_EQ(tracker->MostLikely(), -1);
+  EXPECT_EQ(tracker->MostLikely(), library_->GlobalPriorShape());
   const auto p = tracker->Posterior();
   for (double v : p) EXPECT_NEAR(v, 1.0 / p.size(), 1e-12);
 }

@@ -184,7 +184,7 @@ TEST_F(ShapeServiceTest, NegativeGroupIdsAreRejectedCountedAndRestorable) {
 TEST_F(ShapeServiceTest, GlobalPriorShapeIsAValidCluster) {
   auto service = ShapeService::Make(library_);
   ASSERT_TRUE(service.ok());
-  const int prior = (*service)->GlobalPriorShape();
+  const int prior = library_->GlobalPriorShape();
   ASSERT_GE(prior, 0);
   ASSERT_LT(prior, library_->num_clusters());
   // The argmax of pooled reference mass: no cluster holds more samples.
@@ -192,13 +192,16 @@ TEST_F(ShapeServiceTest, GlobalPriorShapeIsAValidCluster) {
     EXPECT_LE(library_->stats(k).num_samples,
               library_->stats(prior).num_samples);
   }
+  // It is the one fallback: both shape answers give it for unknown groups.
+  EXPECT_EQ((*service)->MostLikely(123), prior);
+  EXPECT_EQ((*service)->PriorShape(123), prior);
 }
 
 TEST_F(ShapeServiceTest, UnknownGroupsAnswerFromUniformPrior) {
   auto service = ShapeService::Make(library_);
   ASSERT_TRUE(service.ok());
   const int k = library_->num_clusters();
-  EXPECT_EQ((*service)->MostLikely(123), -1);
+  EXPECT_EQ((*service)->MostLikely(123), library_->GlobalPriorShape());
   EXPECT_EQ((*service)->GroupCount(123), 0);
   EXPECT_EQ((*service)->NumGroups(), 0u);
   EXPECT_EQ((*service)->TotalObservations(), 0);
@@ -228,7 +231,7 @@ TEST_F(ShapeServiceTest, ObserveRoutesToPerGroupTrackers) {
   EXPECT_TRUE((*service)->Forget(10));
   EXPECT_FALSE((*service)->Forget(10));
   EXPECT_EQ((*service)->NumGroups(), 2u);
-  EXPECT_EQ((*service)->MostLikely(10), -1);
+  EXPECT_EQ((*service)->MostLikely(10), library_->GlobalPriorShape());
 }
 
 TEST_F(ShapeServiceTest, ConcurrentDisjointGroupsMatchSerialReplay) {
@@ -357,7 +360,7 @@ TEST_F(ShapeServiceTest, PriorShapeScoresReconstructedPmf) {
   auto service = ShapeService::Make(library_);
   ASSERT_TRUE(service.ok());
   // Unknown group: the global prior, always a valid cluster.
-  EXPECT_EQ((*service)->PriorShape(404), (*service)->GlobalPriorShape());
+  EXPECT_EQ((*service)->PriorShape(404), library_->GlobalPriorShape());
   for (int gid : {0, 1, 6, 7}) {
     for (double x : StreamFor(gid, 50)) {
       ASSERT_TRUE((*service)->Observe(gid, x).ok());
@@ -396,46 +399,86 @@ TEST_F(ShapeServiceTest, ReconstructPmfMatchesObservationPmf) {
   EXPECT_TRUE(none.empty());
 }
 
-// The reconstruction cache is a pure memo: hits and misses answer
-// identically, entries invalidate on observe and on Forget, and
-// pmf_cache_entries = 0 disables residency without changing answers.
-TEST_F(ShapeServiceTest, PmfCacheNeverChangesAnswersAndCountsHits) {
-  ShapeService::Options cached;
-  cached.pmf_cache_entries = 64;
-  ShapeService::Options uncached;
-  uncached.pmf_cache_entries = 0;
-  auto a = ShapeService::Make(library_, cached);
-  auto b = ShapeService::Make(library_, uncached);
-  ASSERT_TRUE(a.ok() && b.ok());
-  obs::Counter* hits =
-      obs::Registry::Default().GetCounter("shape_service_pmf_cache_hits");
-  const int64_t hits_before = hits->Value();
-  for (int gid = 0; gid < 8; ++gid) {
-    for (double x : StreamFor(gid, 30)) {
-      ASSERT_TRUE((*a)->Observe(gid, x).ok());
-      ASSERT_TRUE((*b)->Observe(gid, x).ok());
+// The per-group PriorShape memo is a pure memo: on one shard holding more
+// than 1,024 groups, queried round-robin, every answer (first or repeated)
+// equals that of a service rebuilt from the exported state, which holds
+// no memos. Observe invalidates the memo, and Forget and RestoreState
+// start the group fresh.
+TEST_F(ShapeServiceTest, PriorShapeMemoNeverChangesAnswers) {
+  constexpr int kGroups = 1100;
+  ShapeService::Options one_shard;
+  one_shard.num_shards = 1;
+  auto service = ShapeService::Make(library_, one_shard);
+  ASSERT_TRUE(service.ok());
+  for (int gid = 0; gid < kGroups; ++gid) {
+    for (double x : StreamFor(gid, 12)) {
+      ASSERT_TRUE((*service)->Observe(gid, x).ok());
     }
+  }
+  const std::vector<GroupState> initial = (*service)->ExportState();
+  auto rebuilt = ShapeService::Make(library_, one_shard);
+  ASSERT_TRUE(rebuilt.ok());
+  ASSERT_TRUE((*rebuilt)->RestoreState(initial).ok());
+  std::vector<int> fresh(kGroups);
+  for (int gid = 0; gid < kGroups; ++gid) {
+    fresh[static_cast<size_t>(gid)] = (*rebuilt)->PriorShape(gid);
   }
   for (int round = 0; round < 3; ++round) {
-    for (int gid = 0; gid < 8; ++gid) {
-      EXPECT_EQ((*a)->PriorShape(gid), (*b)->PriorShape(gid))
-          << "group " << gid;
-      std::vector<double> pa, pb;
-      ASSERT_TRUE((*a)->ReconstructPmf(gid, &pa));
-      ASSERT_TRUE((*b)->ReconstructPmf(gid, &pb));
-      EXPECT_EQ(pa, pb) << "group " << gid;
+    for (int gid = 0; gid < kGroups; ++gid) {
+      ASSERT_EQ((*service)->PriorShape(gid), fresh[static_cast<size_t>(gid)])
+          << "round " << round << " group " << gid;
     }
   }
-  // Rounds 2 and 3 (and the ReconstructPmf calls sharing round 1's
-  // entries) must have hit the cache.
-  EXPECT_GT(hits->Value(), hits_before);
-  // An observation invalidates: the next prior recomputes, still correct.
-  ASSERT_TRUE((*a)->Observe(0, 1.0).ok());
-  ASSERT_TRUE((*b)->Observe(0, 1.0).ok());
-  EXPECT_EQ((*a)->PriorShape(0), (*b)->PriorShape(0));
-  // Forget drops the cache entry along with the group.
-  EXPECT_TRUE((*a)->Forget(0));
-  EXPECT_EQ((*a)->PriorShape(0), (*a)->GlobalPriorShape());
+
+  // Group 0 streams tight; bimodal observations move its answer, so a
+  // memo that survived Observe would answer the old shape.
+  const int tight = fresh[0];
+  for (double x : StreamFor(1, 60)) {
+    ASSERT_TRUE((*service)->Observe(0, x).ok());
+  }
+  const int moved = (*service)->PriorShape(0);
+  EXPECT_NE(moved, tight);
+  auto after = ShapeService::Make(library_, one_shard);
+  ASSERT_TRUE(after.ok());
+  ASSERT_TRUE((*after)->RestoreState((*service)->ExportState()).ok());
+  EXPECT_EQ(moved, (*after)->PriorShape(0));
+
+  // Forget drops the memo with the group: the id answers the global
+  // prior, then scores only what it observes afterwards.
+  EXPECT_TRUE((*service)->Forget(0));
+  EXPECT_EQ((*service)->PriorShape(0), library_->GlobalPriorShape());
+  for (double x : StreamFor(0, 12)) {
+    ASSERT_TRUE((*service)->Observe(0, x).ok());
+  }
+  EXPECT_EQ((*service)->PriorShape(0), tight);
+
+  // RestoreState replaces every memo with the restored state's answer.
+  for (double x : StreamFor(1, 60)) {
+    ASSERT_TRUE((*service)->Observe(0, x).ok());
+  }
+  ASSERT_EQ((*service)->PriorShape(0), moved);
+  ASSERT_TRUE((*service)->RestoreState(initial).ok());
+  EXPECT_EQ((*service)->PriorShape(0), tight);
+}
+
+// A restored record with no observations (count 0, empty sketch) is the
+// same group as one never observed: the global prior's shape from both
+// shape queries, and no reconstructed PMF.
+TEST_F(ShapeServiceTest, RestoredEmptyGroupAnswersLikeAnUnknownOne) {
+  auto service = ShapeService::Make(library_);
+  ASSERT_TRUE(service.ok());
+  const GroupState empty{
+      /*group_id=*/9,
+      std::vector<double>(static_cast<size_t>(library_->num_clusters()), 0.0),
+      /*count=*/0, /*num_clamped=*/0, *KllSketch::Make(KllSketch::kDefaultK)};
+  ASSERT_TRUE((*service)->RestoreState({empty}).ok());
+  EXPECT_EQ((*service)->NumGroups(), 1u);
+  EXPECT_EQ((*service)->GroupCount(9), 0);
+  EXPECT_EQ((*service)->PriorShape(9), library_->GlobalPriorShape());
+  EXPECT_EQ((*service)->MostLikely(9), library_->GlobalPriorShape());
+  std::vector<double> pmf = {1.0};
+  EXPECT_FALSE((*service)->ReconstructPmf(9, &pmf));
+  EXPECT_TRUE(pmf.empty());
 }
 
 // Restore checks each group's sketch against its tracker: a sample count
@@ -499,13 +542,6 @@ TEST_F(ShapeServiceTest, MakeRejectsBadSketchOptions) {
               std::string::npos)
         << service.status().ToString();
   }
-  ShapeService::Options bad;
-  bad.pmf_cache_entries = -1;
-  auto service = ShapeService::Make(library_, bad);
-  ASSERT_FALSE(service.ok());
-  EXPECT_NE(service.status().message().find("options.pmf_cache_entries"),
-            std::string::npos)
-      << service.status().ToString();
 }
 
 // Satellite stress for the lifecycle hot swap: one writer flips the model

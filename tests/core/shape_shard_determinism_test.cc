@@ -131,9 +131,9 @@ TEST_F(ShapeShardDeterminismTest, ExportBytesIdenticalAcrossShardCounts) {
     EXPECT_EQ(four->GroupCount(gid), one->GroupCount(gid)) << gid;
     EXPECT_EQ(sixteen->Posterior(gid), one->Posterior(gid)) << gid;
     EXPECT_EQ(four->Posterior(gid), one->Posterior(gid)) << gid;
+    EXPECT_EQ(four->PriorShape(gid), one->PriorShape(gid)) << gid;
+    EXPECT_EQ(sixteen->PriorShape(gid), one->PriorShape(gid)) << gid;
   }
-  EXPECT_EQ(four->GlobalPriorShape(), one->GlobalPriorShape());
-  EXPECT_EQ(sixteen->GlobalPriorShape(), one->GlobalPriorShape());
 }
 
 // Kill-and-restore over the sharded codec: snapshot a 16-shard service

@@ -334,10 +334,10 @@ TEST_F(FrontendTest, DegradationLadderFallsInExactOrder) {
   EXPECT_EQ((*frontend)->breaker_state(), BreakerState::kClosed);
 }
 
-// Regression (PR 8 satellite): the prior rung used to emit MostLikely's
-// -1 sentinel for never-observed groups as if it were a shape. A served
-// response must always carry a real cluster — the library's global-prior
-// argmax — and stay labeled kPrior (degraded), never -1-as-data.
+// Regression: the prior rung once emitted a -1 sentinel for
+// never-observed groups as if it were a shape. A served response must
+// always carry a real cluster — the library's global-prior argmax — and
+// stay labeled kPrior (degraded).
 TEST_F(FrontendTest, PriorRungAnswersUnknownGroupsWithGlobalPrior) {
   auto service = MakeService(false);
   auto frontend =
@@ -346,12 +346,13 @@ TEST_F(FrontendTest, PriorRungAnswersUnknownGroupsWithGlobalPrior) {
   ASSERT_TRUE(frontend.ok());
   sim::JobRun unknown = SomeRun();
   unknown.group_id = 999999;
-  ASSERT_EQ(service->MostLikely(unknown.group_id), -1);  // the sentinel
+  const int global_prior = service->library().GlobalPriorShape();
+  ASSERT_EQ(service->MostLikely(unknown.group_id), global_prior);
   const PredictResponse response = (*frontend)->Predict(
       unknown, Priority::kStandard, std::chrono::seconds(10));
   ASSERT_TRUE(response.served());
   EXPECT_EQ(response.level, DegradationLevel::kPrior);
-  EXPECT_EQ(response.shape, service->GlobalPriorShape());
+  EXPECT_EQ(response.shape, global_prior);
   EXPECT_GE(response.shape, 0);
   EXPECT_LT(response.shape, predictor_->shapes().num_clusters());
 }
