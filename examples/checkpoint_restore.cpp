@@ -81,7 +81,7 @@ int main() {
                 manager->state().trackers.size(),
                 static_cast<unsigned long long>(manager->last_sequence()));
     // The manager goes out of scope without any clean shutdown — every
-    // observation already hit fsync, which is the only durability needed.
+    // observation already hit fdatasync, which is the only durability needed.
   }
 
   // --- The crash does damage on the way down. -----------------------------

@@ -120,7 +120,7 @@ class RecoveryManager {
   /// holds no snapshot; IOError if every generation is corrupt.
   Result<RecoveryReport> Recover();
 
-  /// Durably logs one observation (every append is fsynced) and applies
+  /// Durably logs one observation (every append is fdatasynced) and applies
   /// it to the group's tracker (created on first sight). Requires a live
   /// state. Inputs that break core::CheckObservation (negative group ids,
   /// non-finite runtimes) are rejected with InvalidArgument before the

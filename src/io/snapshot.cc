@@ -180,7 +180,6 @@ Result<std::string_view> SnapshotReader::Record(size_t i) const {
 }
 
 Status AtomicWriteFile(const std::string& path, std::string_view bytes) {
-  const std::filesystem::path target(path);
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
@@ -203,15 +202,27 @@ Status AtomicWriteFile(const std::string& path, std::string_view bytes) {
     ::unlink(tmp.c_str());
     return st;
   }
-  // Persist the rename itself: fsync the containing directory.
+  // Persist the rename itself.
+  return SyncParentDirectory(path);
+}
+
+Status SyncParentDirectory(const std::string& path) {
+  const std::filesystem::path target(path);
   const std::string dir =
       target.has_parent_path() ? target.parent_path().string() : ".";
   const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
+  if (dfd < 0) {
+    return Status::IOError(
+        StrCat("cannot open directory ", dir, ": ", std::strerror(errno)));
   }
-  return Status::OK();
+  Status st;
+  if (::fsync(dfd) != 0) {
+    st = Status::IOError(
+        StrCat("fsync failed for directory ", dir, ": ",
+               std::strerror(errno)));
+  }
+  ::close(dfd);
+  return st;
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {

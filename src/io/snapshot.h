@@ -116,6 +116,11 @@ class SnapshotReader {
 /// fsync, so the target is never observed half-written.
 Status AtomicWriteFile(const std::string& path, std::string_view bytes);
 
+/// fsyncs the directory holding `path`, so a file created or renamed
+/// there survives a power cut; IOError if the directory cannot be opened
+/// or synced.
+Status SyncParentDirectory(const std::string& path);
+
 /// Reads a whole file; NotFound if it does not exist.
 Result<std::string> ReadFileToString(const std::string& path);
 

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -27,10 +28,29 @@ std::string EncodeHeader(uint64_t segment_id) {
   return out.TakeBytes();
 }
 
-Status WriteAllFd(int fd, std::string_view bytes, const std::string& path) {
+void AppendU32(uint32_t v, std::string* out) {
+  for (int i = 0; i < 4; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+  }
+}
+
+bool AllZero(std::string_view bytes) {
+  static constexpr char kZeros[4096] = {};
+  while (!bytes.empty()) {
+    const size_t n = std::min(bytes.size(), sizeof(kZeros));
+    if (std::memcmp(bytes.data(), kZeros, n) != 0) return false;
+    bytes.remove_prefix(n);
+  }
+  return true;
+}
+
+Status PWriteAll(int fd, std::string_view bytes, uint64_t offset,
+                 const std::string& path) {
   size_t off = 0;
   while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    const ssize_t n =
+        ::pwrite(fd, bytes.data() + off, bytes.size() - off,
+                 static_cast<off_t>(offset + off));
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IOError(
@@ -74,21 +94,31 @@ Result<WalScanResult> ScanWalSegment(std::string_view bytes) {
     const size_t record_start = cursor.position();
     auto len = cursor.ReadU32();
     auto crc = cursor.ReadU32();
-    if (!len.ok() || !crc.ok() || *len > cursor.remaining()) {
+    // A frame claiming more bytes than remain runs to the end of the image.
+    size_t frame_end = bytes.size();
+    if (len.ok() && crc.ok() && *len <= cursor.remaining()) {
+      const std::string_view payload =
+          bytes.substr(cursor.position(), *len);
+      frame_end = cursor.position() + *len;
+      if (MaskCrc32(Crc32(payload)) == *crc) {
+        RVAR_RETURN_NOT_OK(cursor.Skip(*len));
+        scan.records.emplace_back(payload);
+        scan.valid_bytes = cursor.position();
+        continue;
+      }
+    }
+    // Not an intact frame. An all-zero remainder is the unwritten
+    // preallocated tail: the log ends here, intact. Otherwise, only zeros
+    // after the bad frame mean the unacknowledged last append was torn;
+    // anything else is damage to a record that was once intact.
+    if (AllZero(bytes.substr(record_start))) break;
+    if (AllZero(bytes.substr(frame_end))) {
       scan.torn_tail = true;
-      scan.dropped_bytes = bytes.size() - record_start;
-      break;
-    }
-    const std::string_view payload =
-        bytes.substr(cursor.position(), *len);
-    if (MaskCrc32(Crc32(payload)) != *crc) {
+    } else {
       scan.corrupt_record = true;
-      scan.dropped_bytes = bytes.size() - record_start;
-      break;
     }
-    RVAR_RETURN_NOT_OK(cursor.Skip(*len));
-    scan.records.emplace_back(payload);
-    scan.valid_bytes = cursor.position();
+    scan.dropped_bytes = bytes.size() - record_start;
+    break;
   }
   return scan;
 }
@@ -108,42 +138,39 @@ Result<WalWriter> WalWriter::Create(const std::string& path,
                std::strerror(errno)));
   }
   const std::string header = EncodeHeader(segment_id);
-  Status st = WriteAllFd(fd, header, path);
-  if (st.ok() && ::fsync(fd) != 0) {
-    st = Status::IOError(
+  WalWriter writer(fd, path, segment_id, header.size(), header.size(),
+                   sync_each_append);
+  RVAR_RETURN_NOT_OK(PWriteAll(fd, header, 0, path));
+  RVAR_RETURN_NOT_OK(writer.Reserve(kWalChunkBytes));
+  if (::fsync(fd) != 0) {
+    return Status::IOError(
         StrCat("fsync failed for ", path, ": ", std::strerror(errno)));
   }
-  if (!st.ok()) {
-    ::close(fd);
-    return st;
-  }
-  return WalWriter(fd, path, segment_id, header.size(), sync_each_append);
+  RVAR_RETURN_NOT_OK(SyncParentDirectory(path));
+  return writer;
 }
 
 Result<WalWriter> WalWriter::OpenForAppend(const std::string& path,
                                            uint64_t segment_id,
                                            uint64_t expected_size,
                                            bool sync_each_append) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
+  RVAR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
+  if (bytes.size() < expected_size ||
+      !AllZero(std::string_view(bytes).substr(expected_size))) {
+    return Status::FailedPrecondition(
+        StrCat("wal segment ", path, " is ", bytes.size(),
+               " bytes, expected ", expected_size,
+               " (or a zero tail past it) — scan and truncate the torn "
+               "tail before appending"));
+  }
+  const int fd = ::open(path.c_str(), O_WRONLY);
   if (fd < 0) {
     return Status::IOError(
         StrCat("cannot open wal segment ", path, ": ",
                std::strerror(errno)));
   }
-  struct stat info;
-  if (::fstat(fd, &info) != 0) {
-    ::close(fd);
-    return Status::IOError(
-        StrCat("fstat failed for ", path, ": ", std::strerror(errno)));
-  }
-  if (static_cast<uint64_t>(info.st_size) != expected_size) {
-    ::close(fd);
-    return Status::FailedPrecondition(
-        StrCat("wal segment ", path, " is ", info.st_size,
-               " bytes, expected ", expected_size,
-               " — scan and truncate the torn tail before appending"));
-  }
-  return WalWriter(fd, path, segment_id, expected_size, sync_each_append);
+  return WalWriter(fd, path, segment_id, expected_size, bytes.size(),
+                   sync_each_append);
 }
 
 WalWriter::WalWriter(WalWriter&& other) noexcept
@@ -151,37 +178,71 @@ WalWriter::WalWriter(WalWriter&& other) noexcept
       path_(std::move(other.path_)),
       segment_id_(other.segment_id_),
       size_bytes_(other.size_bytes_),
-      sync_each_append_(other.sync_each_append_) {
+      allocated_bytes_(other.allocated_bytes_),
+      sync_each_append_(other.sync_each_append_),
+      frame_(std::move(other.frame_)) {
   other.fd_ = -1;
 }
 
 WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
   if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
+    Close();
     fd_ = other.fd_;
     path_ = std::move(other.path_);
     segment_id_ = other.segment_id_;
     size_bytes_ = other.size_bytes_;
+    allocated_bytes_ = other.allocated_bytes_;
     sync_each_append_ = other.sync_each_append_;
+    frame_ = std::move(other.frame_);
     other.fd_ = -1;
   }
   return *this;
 }
 
-WalWriter::~WalWriter() {
-  if (fd_ >= 0) ::close(fd_);
+WalWriter::~WalWriter() { Close(); }
+
+void WalWriter::Close() {
+  if (fd_ < 0) return;
+  // Cut the zero tail so a cleanly closed segment is header + records.
+  // Only a file still at the size this writer gave it is cut: a tail
+  // someone else wrote past our end is not ours to drop. Best-effort and
+  // unsynced — a tail that survives a crash still scans as end of log.
+  struct stat info;
+  if (allocated_bytes_ > size_bytes_ && ::fstat(fd_, &info) == 0 &&
+      static_cast<uint64_t>(info.st_size) == allocated_bytes_) {
+    const int trimmed = ::ftruncate(fd_, static_cast<off_t>(size_bytes_));
+    (void)trimmed;
+  }
+  ::close(fd_);
+  fd_ = -1;
+}
+
+Status WalWriter::Reserve(uint64_t end) {
+  if (end <= allocated_bytes_) return Status::OK();
+  const uint64_t target =
+      (end + kWalChunkBytes - 1) / kWalChunkBytes * kWalChunkBytes;
+  const int err =
+      ::posix_fallocate(fd_, static_cast<off_t>(allocated_bytes_),
+                        static_cast<off_t>(target - allocated_bytes_));
+  if (err != 0) {
+    return Status::IOError(StrCat("cannot preallocate ", path_, " to ",
+                                  target, " bytes: ", std::strerror(err)));
+  }
+  allocated_bytes_ = target;
+  return Status::OK();
 }
 
 Status WalWriter::Append(std::string_view payload) {
   if (fd_ < 0) {
     return Status::FailedPrecondition("wal writer is closed");
   }
-  BinaryWriter frame;
-  frame.PutU32(static_cast<uint32_t>(payload.size()));
-  frame.PutU32(MaskCrc32(Crc32(payload)));
-  frame.PutRaw(payload);
-  RVAR_RETURN_NOT_OK(WriteAllFd(fd_, frame.bytes(), path_));
-  size_bytes_ += frame.bytes().size();
+  frame_.clear();
+  AppendU32(static_cast<uint32_t>(payload.size()), &frame_);
+  AppendU32(MaskCrc32(Crc32(payload)), &frame_);
+  frame_.append(payload.data(), payload.size());
+  RVAR_RETURN_NOT_OK(Reserve(size_bytes_ + frame_.size()));
+  RVAR_RETURN_NOT_OK(PWriteAll(fd_, frame_, size_bytes_, path_));
+  size_bytes_ += frame_.size();
   if (sync_each_append_) return Sync();
   return Status::OK();
 }
@@ -190,9 +251,9 @@ Status WalWriter::Sync() {
   if (fd_ < 0) {
     return Status::FailedPrecondition("wal writer is closed");
   }
-  if (::fsync(fd_) != 0) {
+  if (::fdatasync(fd_) != 0) {
     return Status::IOError(
-        StrCat("fsync failed for ", path_, ": ", std::strerror(errno)));
+        StrCat("fdatasync failed for ", path_, ": ", std::strerror(errno)));
   }
   return Status::OK();
 }

@@ -156,7 +156,7 @@ TEST_F(RecoveryChaosTest, KillAndRestartMatchesNeverCrashedRun) {
     live_segment = 2;  // Bootstrap -> seg 1, mid-stream Checkpoint -> seg 2
     EXPECT_EQ(victim->generation(), 2);
     // The victim goes out of scope here with no clean shutdown: every
-    // Append already hit fsync, which is all the durability it gets.
+    // Append already hit fdatasync, which is all the durability it gets.
   }
 
   const std::string wal_path = dir + "/wal-000002";
@@ -262,10 +262,13 @@ TEST_F(RecoveryChaosTest, ObserveAndReplayRejectWhatTheServiceRejects) {
     EXPECT_EQ(manager->state().trackers.at(2).num_clamped(), 0);
 
     // Hand-frame the probe's two inputs into the live segment (Bootstrap
-    // opened segment 1), between two valid records.
+    // opened segment 1), between two valid records. The live segment is
+    // preallocated, so they go at the end of its log, not of the file.
     const std::string wal_path = manager->WalPath(1);
-    auto writer = WalWriter::OpenForAppend(
-        wal_path, 1, std::filesystem::file_size(wal_path), true);
+    auto scan = ScanWalFile(wal_path);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    auto writer =
+        WalWriter::OpenForAppend(wal_path, 1, scan->valid_bytes, true);
     ASSERT_TRUE(writer.ok()) << writer.status().ToString();
     ASSERT_TRUE(writer->Append(FrameObservation(2, {-3, 1.0})).ok());
     ASSERT_TRUE(
@@ -287,6 +290,52 @@ TEST_F(RecoveryChaosTest, ObserveAndReplayRejectWhatTheServiceRejects) {
   EXPECT_EQ(tracker.count(), 2);
   EXPECT_EQ(tracker.num_clamped(), 0);
   EXPECT_EQ(tracker.sketch().n(), 2);
+}
+
+// A power cut leaves the live WAL segment at its preallocated size, with
+// zeros past the last acknowledged record. Copying the state directory
+// while the manager is live yields exactly that image: recovering it must
+// repair nothing and rebuild the live state bit-for-bit.
+TEST_F(RecoveryChaosTest, CrashImageWithPreallocatedTailRecoversEveryAck) {
+  constexpr int kObservations = 60;
+  const std::vector<Observation> stream = MakeStream(kObservations, 21);
+  auto live = RecoveryManager::Open(root_ + "/live");
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  ASSERT_TRUE(live->Bootstrap(MakeLibrary(5)).ok());
+  for (int i = 0; i < kObservations; ++i) {
+    ASSERT_TRUE(live->Observe(stream[i].group_id, stream[i].value).ok());
+    if (i + 1 == kObservations / 3) {
+      ASSERT_TRUE(live->Checkpoint().ok());
+    }
+  }
+
+  const std::string image = root_ + "/image";
+  std::filesystem::copy(live->dir(), image,
+                        std::filesystem::copy_options::recursive);
+  // Bootstrap -> segment 1, the mid-stream Checkpoint -> live segment 2.
+  const std::string wal_path = image + "/wal-000002";
+  ASSERT_EQ(std::filesystem::file_size(wal_path), kWalChunkBytes);
+
+  auto revived = RecoveryManager::Open(image);
+  ASSERT_TRUE(revived.ok()) << revived.status().ToString();
+  auto report = revived->Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->snapshot_generation, 2);
+  EXPECT_EQ(report->num_snapshots_discarded, 0);
+  // Segment 1 still holds the records snapshot 2 covers: skipped as
+  // stale, which is not a repair. Every other reason is one.
+  EXPECT_EQ(report->Count(RecoveryReason::kWalStale), kObservations / 3);
+  for (int i = 0; i < kNumRecoveryReasons; ++i) {
+    const auto reason = static_cast<RecoveryReason>(i);
+    if (reason == RecoveryReason::kWalStale) continue;
+    EXPECT_EQ(report->Count(reason), 0) << RecoveryReasonName(reason);
+  }
+  EXPECT_EQ(report->wal_bytes_truncated, 0);
+  EXPECT_EQ(report->wal_records_applied, kObservations - kObservations / 3);
+  EXPECT_EQ(revived->last_sequence(), live->last_sequence());
+  ExpectStatesBitIdentical(live->state(), revived->state());
+  // Nothing was cut: the zero tail is end of log, not a repair.
+  EXPECT_EQ(std::filesystem::file_size(wal_path), kWalChunkBytes);
 }
 
 TEST_F(RecoveryChaosTest, AllSnapshotsCorruptIsAnErrorNotACrash) {

@@ -1,7 +1,8 @@
-// Fuzz-style robustness tests: the snapshot reader and every decoder must
-// survive arbitrary hostile bytes — random strings, mutated valid images,
-// truncations — without crashing, leaking, or reading out of bounds, and
-// must always return a descriptive Status. Run under -DRVAR_SANITIZE=ON
+// Fuzz-style robustness tests: the snapshot reader, every decoder and the
+// WAL segment scanner must survive arbitrary hostile bytes — random
+// strings, mutated valid images, truncations, zero padding — without
+// crashing, leaking, or reading out of bounds, and must always return a
+// descriptive Status. Run under -DRVAR_SANITIZE=ON
 // (ASan/UBSan) to make memory errors fatal; labeled `chaos` in ctest.
 
 #include <gtest/gtest.h>
@@ -16,8 +17,10 @@
 #include "core/shape_service.h"
 #include "io/serialize.h"
 #include "io/snapshot.h"
+#include "io/wal.h"
 #include "sim/faults.h"
 #include "sim/telemetry.h"
+#include "unique_temp_dir.h"
 
 namespace rvar {
 namespace io {
@@ -228,6 +231,93 @@ TEST(SnapshotFuzzTest, SplicedRecordsNeverCrash) {
   }
   ExpectAllDecodersReject(swapped);
   EXPECT_FALSE(DecodeShapeLibrary(image + image).ok());
+}
+
+// Scans `bytes` and checks the scanner's contract: no crash, an intact
+// prefix no longer than the image, dropped bytes either none (a clean end
+// or an all-zero tail) or the whole rest, and, for images derived from a
+// segment holding `written`, records that are a prefix of `written`.
+void ExpectWalScanSane(const std::string& bytes,
+                       const std::vector<std::string>* written) {
+  auto scan = ScanWalSegment(bytes);
+  if (!scan.ok()) {
+    EXPECT_FALSE(scan.status().message().empty());
+    return;
+  }
+  EXPECT_LE(scan->valid_bytes, bytes.size());
+  if (scan->dropped_bytes != 0) {
+    EXPECT_EQ(scan->dropped_bytes, bytes.size() - scan->valid_bytes);
+    EXPECT_TRUE(scan->torn_tail || scan->corrupt_record);
+  } else {
+    EXPECT_FALSE(scan->torn_tail || scan->corrupt_record);
+    EXPECT_EQ(bytes.find_first_not_of('\0', scan->valid_bytes),
+              std::string::npos)
+        << "bytes past valid_bytes were neither dropped nor zero";
+  }
+  if (written != nullptr) {
+    ASSERT_LE(scan->records.size(), written->size());
+    for (size_t i = 0; i < scan->records.size(); ++i) {
+      EXPECT_EQ(scan->records[i], (*written)[i]) << "record " << i;
+    }
+  }
+}
+
+TEST(SnapshotFuzzTest, WalScanOfHostileSegmentsNeverCrashes) {
+  // A segment as WalWriter leaves it, from records of random sizes.
+  UniqueTempDir dir;
+  const std::string path = dir.File("wal-000001");
+  Rng rng(811);
+  std::vector<std::string> written;
+  {
+    auto writer = WalWriter::Create(path, 1, /*sync_each_append=*/false);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (int i = 0; i < 40; ++i) {
+      std::string record(static_cast<size_t>(rng.UniformInt(0, 40)), '\0');
+      for (char& b : record) b = static_cast<char>(rng.UniformInt(0, 255));
+      ASSERT_TRUE(writer->Append(record).ok());
+      written.push_back(std::move(record));
+    }
+  }
+  auto image = ReadFileToString(path);
+  ASSERT_TRUE(image.ok());
+  const auto zeros = [&] {
+    return std::string(static_cast<size_t>(rng.UniformInt(1, 600)), '\0');
+  };
+
+  // The intact image, bare and zero-padded, scans clean and whole.
+  for (const std::string& bytes : {*image, *image + zeros()}) {
+    auto scan = ScanWalSegment(bytes);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    EXPECT_EQ(scan->records, written);
+    EXPECT_EQ(scan->valid_bytes, image->size());
+    EXPECT_EQ(scan->dropped_bytes, 0u);
+  }
+
+  const sim::StorageFaultPlan faults(53);
+  for (int trial = 0; trial < 256; ++trial) {
+    const std::string flipped =
+        faults.FlipBits(*image, /*num_flips=*/1 + trial % 8, trial);
+    const std::string torn =
+        faults.TruncateTail(*image, /*max_fraction=*/0.9, trial);
+    ExpectWalScanSane(flipped, &written);
+    ExpectWalScanSane(flipped + zeros(), &written);
+    ExpectWalScanSane(torn, &written);
+    ExpectWalScanSane(torn + zeros(), &written);
+    // A stray nonzero byte somewhere in the zero tail: never end of log.
+    std::string stray = *image + zeros();
+    stray[static_cast<size_t>(rng.UniformInt(
+        static_cast<int64_t>(image->size()),
+        static_cast<int64_t>(stray.size()) - 1))] = '\x5a';
+    ExpectWalScanSane(stray, &written);
+
+    // Hostile bytes: random, and random behind a valid header.
+    std::string random(static_cast<size_t>(rng.UniformInt(0, 512)), '\0');
+    for (char& b : random) b = static_cast<char>(rng.UniformInt(0, 255));
+    ExpectWalScanSane(random, nullptr);
+    ExpectWalScanSane(image->substr(0, kWalHeaderSize) + random, nullptr);
+    ExpectWalScanSane(image->substr(0, kWalHeaderSize) + random + zeros(),
+                      nullptr);
+  }
 }
 
 }  // namespace
