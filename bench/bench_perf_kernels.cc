@@ -819,19 +819,19 @@ void WriteBenchSketchJson() {
       accounted_ratio, rss_ratio);
 }
 
-// GBDT engine kernels (histogram-cache training and flattened batch
+// GBDT engine kernels (histogram-cache training and leaf-bitvector
 // inference), written to BENCH_gbdt.json for the CI regression gate.
 // Training is timed at 1 and 4 configured threads over the same workload
 // as the BENCH_parallel.json sweep, so the two reports stay comparable;
 // the batch-predict kernel reuses one scratch buffer across all rows the
 // way the serving paths (PredictShapeBatch, what-if) do. The SIMD-sensitive
-// kernels (histogram accumulate, single-thread training, flattened batch
-// traversal) are additionally timed with the dispatch pinned to the scalar
-// row: the *_scalar entries keep the reference path gated against
-// regression, and the simd/scalar pair makes the vectorization win visible
-// in the CI table (baseline.json pins the SIMD-sensitive baselines to
-// scalar timings, so the SIMD build reads as an improvement, never a
-// regression, on any runner generation).
+// kernels (histogram accumulate, single-thread training) are additionally
+// timed with the dispatch pinned to the scalar row: the *_scalar entries
+// keep the reference path gated against regression, and the simd/scalar
+// pair makes the vectorization win visible in the CI table (baseline.json
+// pins the SIMD-sensitive baselines to scalar timings, so the SIMD build
+// reads as an improvement, never a regression, on any runner generation).
+// Inference has no SIMD row, so flatforest_predict_1t has no scalar twin.
 void WriteBenchGbdtJson() {
   const ml::Dataset train_data = MakeTabular(4000, 30, 3, 11);
   const ml::Dataset predict_data = MakeTabular(3000, 30, 3, 35);
@@ -877,22 +877,18 @@ void WriteBenchGbdtJson() {
     ml::GbdtClassifier model({.num_rounds = 10});
     benchmark::DoNotOptimize(model.Fit(train_data).ok());
   });
-  const auto time_forest = [&] {
-    return BestSecondsOf([&] {
-      std::vector<double> proba;
-      for (int r = 0; r < 8; ++r) {
-        predict_model.PredictProbaBatchInto(predict_data.x, &proba);
-        benchmark::DoNotOptimize(proba.data());
-      }
-    });
-  };
-  const double forest_1t = time_forest();
+  const double forest_1t = BestSecondsOf([&] {
+    std::vector<double> proba;
+    for (int r = 0; r < 8; ++r) {
+      predict_model.PredictProbaBatchInto(predict_data.x, &proba);
+      benchmark::DoNotOptimize(proba.data());
+    }
+  });
   SetSimdLevel(SimdLevel::kScalar);
   const double train_1t_scalar = BestSecondsOf([&] {
     ml::GbdtClassifier model({.num_rounds = 10});
     benchmark::DoNotOptimize(model.Fit(train_data).ok());
   });
-  const double forest_1t_scalar = time_forest();
   SetSimdLevel(active_level);
   SetParallelThreads(4);
   const double train_4t = BestSecondsOf([&] {
@@ -924,12 +920,11 @@ void WriteBenchGbdtJson() {
                "    \"gbdt_predict_batch\": %.6f,\n"
                "    \"gbdt_hist_accumulate\": %.6f,\n"
                "    \"gbdt_hist_accumulate_scalar\": %.6f,\n"
-               "    \"flatforest_predict_1t\": %.6f,\n"
-               "    \"flatforest_predict_1t_scalar\": %.6f\n"
+               "    \"flatforest_predict_1t\": %.6f\n"
                "  }\n}\n",
                calibration, SimdLevelName(active_level), train_1t,
                train_1t_scalar, train_4t, predict_batch, hist_simd,
-               hist_scalar, forest_1t, forest_1t_scalar);
+               hist_scalar, forest_1t);
   std::fclose(out);
   std::printf("gbdt engine summary written to BENCH_gbdt.json\n");
 }

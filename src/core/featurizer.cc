@@ -12,8 +12,20 @@ namespace core {
 
 Featurizer::Featurizer(const std::vector<sim::JobGroupSpec>* groups,
                        const sim::SkuCatalog* catalog)
-    : groups_(groups), catalog_(catalog) {
+    : catalog_(catalog) {
   RVAR_CHECK(groups != nullptr && catalog != nullptr);
+  // The intrinsic features depend on the group alone: compute them once.
+  plan_features_.reserve(groups->size() * kPlanFeatures);
+  for (const sim::JobGroupSpec& group : *groups) {
+    const sim::JobPlan& plan = group.plan;
+    plan_features_.push_back(
+        std::log(std::max(plan.estimated_cardinality, 1.0)));
+    plan_features_.push_back(std::log(std::max(plan.estimated_cost, 1.0)));
+    plan_features_.push_back(plan.num_stages);
+    plan_features_.push_back(plan.TotalCostFactor());
+    plan_features_.push_back(static_cast<double>(plan.nodes.size()));
+    for (int count : plan.OperatorCounts()) plan_features_.push_back(count);
+  }
   // Intrinsic plan features.
   names_ = {"log_est_cardinality", "log_est_cost", "num_stages",
             "total_cost_factor", "num_operators"};
@@ -76,7 +88,6 @@ void Featurizer::SetHistory(const sim::TelemetryStore& history) {
     // of the Section 7 what-if transforms.
     h.runtime_median = Median(history.GroupRuntimes(gid));
     const double n = static_cast<double>(idx.size());
-    h.support = static_cast<int>(idx.size());
     h.input_mean = input.mean();
     h.input_std = input.stddev();
     h.temp_mean = temp / n;
@@ -91,102 +102,94 @@ void Featurizer::SetHistory(const sim::TelemetryStore& history) {
   }
 }
 
-Featurizer::GroupHistory Featurizer::HistoryFor(
-    const sim::JobRun& run) const {
-  const auto it = history_.find(run.group_id);
-  if (it != history_.end()) return it->second;
-  // Cold start: the run's own telemetry stands in for group history.
-  GroupHistory h;
-  h.support = 0;
-  h.input_mean = run.input_gb;
-  h.input_std = 0.0;
-  h.temp_mean = run.temp_data_gb;
-  h.vertices_mean = run.total_vertices;
-  h.max_tokens_mean = run.max_tokens_used;
-  h.max_tokens_std = 0.0;
-  h.avg_tokens_mean = run.avg_tokens_used;
-  h.spare_tokens_mean = run.avg_spare_tokens;
-  h.runtime_median = run.runtime_seconds;
-  h.sku_frac = run.sku_vertex_fraction;
-  h.sku_frac.resize(catalog_->NumSkus(), 0.0);
-  return h;
-}
-
 int Featurizer::IndexOf(const std::string& name) const {
   const auto it = name_index_.find(name);
   return it == name_index_.end() ? -1 : it->second;
 }
 
-Result<std::vector<double>> Featurizer::FeaturesFor(
-    const sim::JobRun& run) const {
-  if (run.group_id < 0 ||
-      static_cast<size_t>(run.group_id) >= groups_->size()) {
+Status Featurizer::FeaturesInto(const sim::JobRun& run, double* x) const {
+  if (run.group_id < 0 || static_cast<size_t>(run.group_id) >=
+                              plan_features_.size() / kPlanFeatures) {
     return Status::OutOfRange(
         StrCat("run references unknown group ", run.group_id));
   }
-  const sim::JobGroupSpec& group =
-      (*groups_)[static_cast<size_t>(run.group_id)];
-  const GroupHistory h = HistoryFor(run);
   const size_t num_skus = catalog_->NumSkus();
-
-  std::vector<double> x;
-  x.reserve(names_.size());
   // Intrinsic.
-  x.push_back(std::log(std::max(group.plan.estimated_cardinality, 1.0)));
-  x.push_back(std::log(std::max(group.plan.estimated_cost, 1.0)));
-  x.push_back(group.plan.num_stages);
-  x.push_back(group.plan.TotalCostFactor());
-  x.push_back(static_cast<double>(group.plan.nodes.size()));
-  for (int count : group.plan.OperatorCounts()) {
-    x.push_back(count);
-  }
+  double* p = std::copy_n(
+      plan_features_.begin() +
+          static_cast<ptrdiff_t>(static_cast<size_t>(run.group_id) *
+                                 kPlanFeatures),
+      kPlanFeatures, x);
   // Historic aggregates.
-  x.push_back(h.input_mean);
-  x.push_back(h.input_std);
-  x.push_back(h.temp_mean);
-  x.push_back(h.vertices_mean);
-  x.push_back(h.max_tokens_mean);
-  x.push_back(h.max_tokens_std);
-  x.push_back(h.avg_tokens_mean);
-  x.push_back(h.spare_tokens_mean);
-  x.push_back(h.runtime_median);
-  for (size_t s = 0; s < num_skus; ++s) {
-    x.push_back(s < h.sku_frac.size() ? h.sku_frac[s] : 0.0);
+  const auto it = history_.find(run.group_id);
+  if (it != history_.end()) {
+    const GroupHistory& h = it->second;
+    *p++ = h.input_mean;
+    *p++ = h.input_std;
+    *p++ = h.temp_mean;
+    *p++ = h.vertices_mean;
+    *p++ = h.max_tokens_mean;
+    *p++ = h.max_tokens_std;
+    *p++ = h.avg_tokens_mean;
+    *p++ = h.spare_tokens_mean;
+    *p++ = h.runtime_median;
+    for (size_t s = 0; s < num_skus; ++s) {
+      *p++ = s < h.sku_frac.size() ? h.sku_frac[s] : 0.0;
+    }
+  } else {
+    // Cold start: the run's own telemetry stands in for group history,
+    // with zero spread.
+    *p++ = run.input_gb;
+    *p++ = 0.0;
+    *p++ = run.temp_data_gb;
+    *p++ = run.total_vertices;
+    *p++ = run.max_tokens_used;
+    *p++ = 0.0;
+    *p++ = run.avg_tokens_used;
+    *p++ = run.avg_spare_tokens;
+    *p++ = run.runtime_seconds;
+    for (size_t s = 0; s < num_skus; ++s) {
+      *p++ = s < run.sku_vertex_fraction.size() ? run.sku_vertex_fraction[s]
+                                                : 0.0;
+    }
   }
   // Allocation.
-  x.push_back(run.allocated_tokens);
+  *p++ = run.allocated_tokens;
   // Environment at submit.
   for (size_t s = 0; s < num_skus; ++s) {
-    x.push_back(s < run.sku_cpu_util.size() ? run.sku_cpu_util[s] : 0.0);
+    *p++ = s < run.sku_cpu_util.size() ? run.sku_cpu_util[s] : 0.0;
   }
-  x.push_back(run.cpu_util_mean);
-  x.push_back(run.cpu_util_std);
-  x.push_back(run.cluster_baseline_util);
-  x.push_back(run.spare_availability);
+  *p++ = run.cpu_util_mean;
+  *p++ = run.cpu_util_std;
+  *p++ = run.cluster_baseline_util;
+  *p++ = run.spare_availability;
   const double day_frac =
       std::fmod(run.submit_time, 86400.0) / 86400.0;
-  x.push_back(std::sin(2.0 * M_PI * day_frac));
-  x.push_back(std::cos(2.0 * M_PI * day_frac));
+  *p++ = std::sin(2.0 * M_PI * day_frac);
+  *p++ = std::cos(2.0 * M_PI * day_frac);
 
-  RVAR_CHECK_EQ(x.size(), names_.size());
+  RVAR_CHECK_EQ(static_cast<size_t>(p - x), names_.size());
+  return Status::OK();
+}
+
+Result<std::vector<double>> Featurizer::FeaturesFor(
+    const sim::JobRun& run) const {
+  std::vector<double> x(names_.size());
+  RVAR_RETURN_NOT_OK(FeaturesInto(run, x.data()));
   return x;
 }
 
 Result<std::vector<std::vector<double>>> Featurizer::FeaturesForAll(
     const std::vector<const sim::JobRun*>& runs) const {
-  // FeaturesFor only reads the group/catalog specs and the frozen history
-  // map, so rows build concurrently into indexed slots — identical output
+  // FeaturesInto only reads the plan features, the catalog and the frozen
+  // history map, so rows build concurrently into indexed slots — identical output
   // to the serial loop at every thread count.
   std::vector<std::vector<double>> rows(runs.size());
   std::vector<Status> row_status(runs.size(), Status::OK());
   ParallelFor(runs.size(), /*grain=*/64, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      Result<std::vector<double>> x = FeaturesFor(*runs[i]);
-      if (x.ok()) {
-        rows[i] = std::move(*x);
-      } else {
-        row_status[i] = x.status();
-      }
+      rows[i].resize(names_.size());
+      row_status[i] = FeaturesInto(*runs[i], rows[i].data());
     }
   });
   for (const Status& st : row_status) RVAR_RETURN_NOT_OK(st);

@@ -27,7 +27,7 @@ namespace core {
 class Featurizer {
  public:
   /// \param groups group specs indexed by group_id (groups[i].group_id==i);
-  ///        must outlive the featurizer.
+  ///        their plans are read once, here.
   /// \param catalog the cluster's SKU catalog; must outlive the featurizer.
   Featurizer(const std::vector<sim::JobGroupSpec>* groups,
              const sim::SkuCatalog* catalog);
@@ -43,6 +43,11 @@ class Featurizer {
 
   /// Index of a feature name, or -1.
   int IndexOf(const std::string& name) const;
+
+  /// Writes one run's features to x[0, FeatureNames().size()). Allocates
+  /// nothing, so hot loops reuse one caller-owned row. OutOfRange for an
+  /// unknown group, with `x` untouched.
+  Status FeaturesInto(const sim::JobRun& run, double* x) const;
 
   /// Feature vector for one run (length FeatureNames().size()).
   Result<std::vector<double>> FeaturesFor(const sim::JobRun& run) const;
@@ -67,7 +72,6 @@ class Featurizer {
  private:
   /// Per-group historic aggregates (the expensive part of SetHistory).
   struct GroupHistory {
-    int support = 0;
     double input_mean = 0.0, input_std = 0.0;
     double temp_mean = 0.0;
     double vertices_mean = 0.0;
@@ -81,9 +85,10 @@ class Featurizer {
     std::vector<double> sku_frac;
   };
 
-  GroupHistory HistoryFor(const sim::JobRun& run) const;
-
-  const std::vector<sim::JobGroupSpec>* groups_;
+  /// Intrinsic plan features per group: group g's at
+  /// plan_features_[g * kPlanFeatures].
+  static constexpr size_t kPlanFeatures = 5 + sim::kNumOperatorTypes;
+  std::vector<double> plan_features_;
   const sim::SkuCatalog* catalog_;
   std::vector<std::string> names_;
   std::unordered_map<std::string, int> name_index_;

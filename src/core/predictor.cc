@@ -209,41 +209,37 @@ Result<std::unordered_map<int, int>> VariationPredictor::LabelGroups(
 
 Result<int> VariationPredictor::PredictShape(const sim::JobRun& run) const {
   PredictorMetrics::Get().predictions_total->Increment();
-  RVAR_ASSIGN_OR_RETURN(std::vector<double> x,
-                        featurizer_->FeaturesFor(run));
-  PredictScratch scratch;
-  return PredictFromFeatures(*ModelSnapshot(), x, &scratch);
+  const sim::JobRun* runs[] = {&run};
+  int shape = -1;
+  Status status;
+  ScoreRuns(*ModelSnapshot(), runs, 1, &shape, &status);
+  RVAR_RETURN_NOT_OK(status);
+  return shape;
 }
 
 Result<std::vector<int>> VariationPredictor::PredictShapeBatch(
     const std::vector<const sim::JobRun*>& runs) const {
   obs::ScopedSpan span("predictor/predict_batch");
-  PredictorMetrics::Get().predict_batch_size->Observe(
-      static_cast<double>(runs.size()));
-  // Featurization and GBDT inference are pure reads of the trained state;
-  // each run lands in its own output slot, so the batch result matches a
-  // serial PredictShape loop exactly at any thread count. Each chunk keeps
-  // one PredictScratch, so inference over the flattened forest allocates
-  // only the per-run feature vector.
-  std::vector<int> predicted;
-  std::vector<Status> run_status;
+  const PredictorMetrics& metrics = PredictorMetrics::Get();
+  metrics.predict_batch_size->Observe(static_cast<double>(runs.size()));
   // Pin the model epoch once for the whole batch: a concurrent SwapModel
-  // cannot split the batch across versions, and no chunk ever touches the
-  // model slot again.
+  // cannot split the batch across versions.
   const std::shared_ptr<const ml::GbdtClassifier> model = ModelSnapshot();
-  RVAR_RETURN_NOT_OK(
-      PredictShapeBatchInto(*model, runs, &predicted, &run_status));
+  RVAR_RETURN_NOT_OK(CheckModel(*model));
+  metrics.predictions_total->Increment(static_cast<int64_t>(runs.size()));
+  // Featurization and inference are pure reads of the trained state and
+  // each run lands in its own slot, so chunking changes nothing.
+  std::vector<int> predicted(runs.size(), -1);
+  std::vector<Status> run_status(runs.size(), Status::OK());
+  ParallelFor(runs.size(), /*grain=*/256, [&](size_t begin, size_t end) {
+    ScoreRuns(*model, runs.data() + begin, end - begin,
+              predicted.data() + begin, run_status.data() + begin);
+  });
   for (const Status& st : run_status) RVAR_RETURN_NOT_OK(st);
   return predicted;
 }
 
-Status VariationPredictor::PredictShapeBatchInto(
-    const ml::GbdtClassifier& model,
-    const std::vector<const sim::JobRun*>& runs, std::vector<int>* shapes,
-    std::vector<Status>* run_status) const {
-  // Batch-level compatibility first: a wrong-shaped epoch (e.g. a stale
-  // snapshot trained against an older library) must fail the whole batch
-  // before any per-run work, so the caller can fall to the next rung.
+Status VariationPredictor::CheckModel(const ml::GbdtClassifier& model) const {
   if (model.num_classes() != shapes_->num_clusters()) {
     return Status::InvalidArgument(
         StrCat("model predicts ", model.num_classes(),
@@ -256,31 +252,49 @@ Status VariationPredictor::PredictShapeBatchInto(
                " features but ", kept_.size(),
                " are kept after selection"));
   }
+  return Status::OK();
+}
+
+Status VariationPredictor::PredictShapeBatchInto(
+    const ml::GbdtClassifier& model,
+    const std::vector<const sim::JobRun*>& runs, std::vector<int>* shapes,
+    std::vector<Status>* run_status) const {
+  // Batch-level compatibility first: a wrong-shaped epoch (e.g. a stale
+  // snapshot trained against an older library) must fail the whole batch
+  // before any per-run work, so the caller can fall to the next rung.
+  RVAR_RETURN_NOT_OK(CheckModel(model));
   shapes->assign(runs.size(), -1);
   run_status->assign(runs.size(), Status::OK());
-  obs::Counter* predictions = PredictorMetrics::Get().predictions_total;
-  ParallelFor(runs.size(), /*grain=*/32, [&](size_t begin, size_t end) {
-    PredictScratch scratch;
-    for (size_t i = begin; i < end; ++i) {
-      predictions->Increment();
-      if (runs[i] == nullptr) {
-        (*run_status)[i] = Status::InvalidArgument("null run in batch");
-        continue;
-      }
-      Result<std::vector<double>> x = featurizer_->FeaturesFor(*runs[i]);
-      if (!x.ok()) {
-        (*run_status)[i] = x.status();
-        continue;
-      }
-      Result<int> shape = PredictFromFeatures(model, *x, &scratch);
-      if (shape.ok()) {
-        (*shapes)[i] = *shape;
-      } else {
-        (*run_status)[i] = shape.status();
-      }
-    }
-  });
+  PredictorMetrics::Get().predictions_total->Increment(
+      static_cast<int64_t>(runs.size()));
+  ScoreRuns(model, runs.data(), runs.size(), shapes->data(),
+            run_status->data());
   return Status::OK();
+}
+
+void VariationPredictor::ScoreRuns(const ml::GbdtClassifier& model,
+                                   const sim::JobRun* const* runs, size_t n,
+                                   int* shapes, Status* run_status) const {
+  thread_local std::vector<double> features;
+  thread_local PredictScratch scratch;
+  features.resize(featurizer_->FeatureNames().size());
+  for (size_t i = 0; i < n; ++i) {
+    if (runs[i] == nullptr) {
+      run_status[i] = Status::InvalidArgument("null run in batch");
+      continue;
+    }
+    Status st = featurizer_->FeaturesInto(*runs[i], features.data());
+    if (!st.ok()) {
+      run_status[i] = std::move(st);
+      continue;
+    }
+    Result<int> shape = PredictFromFeatures(model, features, &scratch);
+    if (shape.ok()) {
+      shapes[i] = *shape;
+    } else {
+      run_status[i] = shape.status();
+    }
+  }
 }
 
 Result<int> VariationPredictor::PredictFromFeatures(

@@ -106,9 +106,11 @@ class VariationPredictor {
   /// Predicted shape for one run.
   Result<int> PredictShape(const sim::JobRun& run) const;
 
-  /// Predicted shapes for a batch of runs, in order. Runs are featurized
-  /// and scored in parallel (common/parallel.h); the result is identical
-  /// to a serial PredictShape loop at any thread count.
+  /// Predicted shapes for a batch of runs, in order: the offline path
+  /// (Evaluate, oracles). Chunks of runs are scored as
+  /// PredictShapeBatchInto scores them, in parallel (common/parallel.h);
+  /// the result is identical to a serial PredictShape loop at any thread
+  /// count.
   Result<std::vector<int>> PredictShapeBatch(
       const std::vector<const sim::JobRun*>& runs) const;
 
@@ -119,7 +121,9 @@ class VariationPredictor {
   /// batch-level incompatibility (model/shape-library class-count or
   /// feature-count mismatch), in which case no output is written. On OK,
   /// shapes[i] is the prediction (-1 when run_status[i] is non-OK, e.g. a
-  /// featurization failure for that run alone).
+  /// featurization failure for that run alone). Runs are scored inline on
+  /// the calling thread, never in the shared pool, with buffers that
+  /// thread reuses across calls.
   Status PredictShapeBatchInto(const ml::GbdtClassifier& model,
                                const std::vector<const sim::JobRun*>& runs,
                                std::vector<int>* shapes,
@@ -147,6 +151,18 @@ class VariationPredictor {
 
  private:
   VariationPredictor() = default;
+
+  /// InvalidArgument unless `model` predicts the shape library's classes
+  /// over the kept features.
+  Status CheckModel(const ml::GbdtClassifier& model) const;
+
+  /// Scores runs[0, n) against `model` into shapes[i] / run_status[i] on
+  /// the calling thread, reusing that thread's feature and scoring
+  /// buffers. The caller has checked `model` and set every shape to -1
+  /// and every status to OK.
+  void ScoreRuns(const ml::GbdtClassifier& model,
+                 const sim::JobRun* const* runs, size_t n, int* shapes,
+                 Status* run_status) const;
 
   PredictorConfig config_;
   // Owned copies so the featurizer's pointers stay valid.

@@ -714,6 +714,10 @@ Status GbdtClassifier::FitImpl(const Dataset& train, const Dataset* valid,
     return Status::InvalidArgument(
         "feature_fraction and bagging_fraction must be in (0,1]");
   }
+  if (config_.max_leaves > kMaxGbdtLeaves) {
+    return Status::InvalidArgument(StrCat("max_leaves ", config_.max_leaves,
+                                          " exceeds ", kMaxGbdtLeaves));
+  }
   num_classes_ = train.NumClasses();
   if (parent != nullptr) {
     // A sliding retrain window may miss rare classes entirely; the parent's
@@ -983,30 +987,128 @@ Status GbdtClassifier::FitImpl(const Dataset& train, const Dataset* valid,
   if (total > 0.0) {
     for (double& v : importance_) v /= total;
   }
-  CompileFlatForest();
+  // Trees hold at most max_leaves <= kMaxGbdtLeaves leaves, so this
+  // cannot fail.
+  return CompileScorer();
+}
+
+namespace {
+
+// One split node of the leaf-bitvector scorer, before grouping by feature.
+struct ScorerSplit {
+  int feature;
+  double threshold;
+  uint32_t tree;
+  uint64_t mask;
+};
+
+// Numbers the leaves under `node` (at `depth`, the root's is 0) left to
+// right, appending their values to *leaf_value (this tree's start at
+// `leaf_base`), and appends one split per internal node whose mask clears
+// its left subtree's leaves. A node at depth d has d ancestors, each with
+// a sibling subtree, so the tree reaches more than d leaves: failing past
+// kMaxGbdtLeaves leaves or that depth bounds both the work and the
+// recursion, even for a hostile tree that shares subtrees between parents.
+Status CompileNode(const Tree& tree, int node, int depth, uint32_t t,
+                   size_t leaf_base, std::vector<ScorerSplit>* splits,
+                   std::vector<double>* leaf_value) {
+  const size_t lo = leaf_value->size() - leaf_base;
+  if (lo == static_cast<size_t>(kMaxGbdtLeaves) || depth == kMaxGbdtLeaves) {
+    return Status::InvalidArgument(
+        StrCat("tree reaches more than ", kMaxGbdtLeaves, " leaves"));
+  }
+  const TreeNode& n = tree.nodes[static_cast<size_t>(node)];
+  if (n.feature < 0) {
+    leaf_value->push_back(n.value[0]);
+    return Status::OK();
+  }
+  RVAR_RETURN_NOT_OK(CompileNode(tree, n.left, depth + 1, t, leaf_base,
+                                 splits, leaf_value));
+  // The left subtree's leaves are bits [lo, hi), 1 <= hi - lo <= 64.
+  const size_t hi = leaf_value->size() - leaf_base;
+  const uint64_t left_leaves = (~uint64_t{0} >> (64 - (hi - lo))) << lo;
+  splits->push_back({n.feature, n.threshold, t, ~left_leaves});
+  return CompileNode(tree, n.right, depth + 1, t, leaf_base, splits,
+                     leaf_value);
+}
+
+}  // namespace
+
+Status GbdtClassifier::CompileScorer() {
+  LeafScorer scorer;
+  std::vector<ScorerSplit> splits;
+  const size_t kc = trees_.size();
+  const size_t rounds = trees_.empty() ? 0 : trees_[0].size();
+  for (size_t r = 0; r < rounds; ++r) {
+    for (size_t k = 0; k < kc; ++k) {
+      const uint32_t t = static_cast<uint32_t>(r * kc + k);
+      const size_t base = scorer.leaf_value.size();
+      scorer.leaf_begin.push_back(static_cast<uint32_t>(base));
+      Status st = CompileNode(trees_[k][r], 0, 0, t, base, &splits,
+                              &scorer.leaf_value);
+      if (!st.ok()) {
+        return Status::InvalidArgument(
+            StrCat("class ", k, " round ", r, ": ", st.message()));
+      }
+    }
+  }
+  // Stable: equal thresholds keep tree order, so the layout is a pure
+  // function of the model (the result does not depend on it — masks AND
+  // in any order).
+  std::stable_sort(splits.begin(), splits.end(),
+                   [](const ScorerSplit& a, const ScorerSplit& b) {
+                     return a.feature != b.feature ? a.feature < b.feature
+                                                   : a.threshold < b.threshold;
+                   });
+  const size_t nf =
+      splits.empty() ? 0 : static_cast<size_t>(splits.back().feature) + 1;
+  scorer.node_begin.assign(nf + 1, 0);
+  for (const ScorerSplit& split : splits) {
+    ++scorer.node_begin[static_cast<size_t>(split.feature) + 1];
+    scorer.node_threshold.push_back(split.threshold);
+    scorer.node_tree.push_back(split.tree);
+    scorer.node_mask.push_back(split.mask);
+  }
+  std::partial_sum(scorer.node_begin.begin(), scorer.node_begin.end(),
+                   scorer.node_begin.begin());
+  scorer_ = std::move(scorer);
   return Status::OK();
 }
 
-void GbdtClassifier::CompileFlatForest() {
-  flat_ = FlatForest();
-  for (const std::vector<Tree>& class_trees : trees_) {
-    for (const Tree& tree : class_trees) flat_.Add(tree);
+void GbdtClassifier::ScoreInto(const double* row, double* out) const {
+  const LeafScorer& s = scorer_;
+  // One word per tree, reused across calls on this thread. Bits past a
+  // tree's last leaf are never cleared, and neither is its exit leaf's,
+  // so no word reaches zero.
+  thread_local std::vector<uint64_t> words;
+  words.assign(s.leaf_begin.size(), ~uint64_t{0});
+  uint64_t* w = words.data();
+  for (size_t f = 0; f + 1 < s.node_begin.size(); ++f) {
+    const double x = row[f];
+    const size_t end = s.node_begin[f + 1];
+    for (size_t i = s.node_begin[f]; i < end && !(x <= s.node_threshold[i]);
+         ++i) {
+      w[s.node_tree[i]] &= s.node_mask[i];
+    }
+  }
+  const size_t kc = base_scores_.size();
+  std::copy(base_scores_.begin(), base_scores_.end(), out);
+  // Round-major: the K classes' sums are interleaved, but each still adds
+  // its trees in round order.
+  for (size_t t = 0; t < s.leaf_begin.size(); t += kc) {
+    for (size_t k = 0; k < kc; ++k) {
+      out[k] += s.leaf_value[s.leaf_begin[t + k] +
+                             static_cast<size_t>(__builtin_ctzll(w[t + k]))];
+    }
   }
 }
 
 void GbdtClassifier::PredictRawInto(const std::vector<double>& row,
                                     std::vector<double>* out) const {
   RVAR_CHECK(!trees_.empty()) << "PredictRaw before Fit";
-  RVAR_CHECK_GE(row.size(), flat_.num_features());
-  out->assign(base_scores_.begin(), base_scores_.end());
-  const double* x = row.data();
-  size_t t = 0;
-  for (size_t k = 0; k < trees_.size(); ++k) {
-    double& score = (*out)[k];
-    for (size_t r = 0; r < trees_[k].size(); ++r) {
-      score += flat_.PredictScalar(t++, x);
-    }
-  }
+  RVAR_CHECK_GE(row.size(), scorer_.node_begin.size() - 1);
+  out->resize(base_scores_.size());
+  ScoreInto(row.data(), out->data());
 }
 
 void GbdtClassifier::PredictProbaInto(const std::vector<double>& row,
@@ -1019,35 +1121,13 @@ void GbdtClassifier::PredictRawBatchInto(
     const std::vector<std::vector<double>>& rows,
     std::vector<double>* out) const {
   RVAR_CHECK(!trees_.empty()) << "PredictRawBatch before Fit";
-  const size_t n = rows.size();
   const size_t kc = base_scores_.size();
-  out->resize(n * kc);
-  if (n == 0) return;
-  // Row blocks fan out over the deterministic pool; within a block, trees
-  // run outer and rows inner so one tree's SoA arrays stay cache resident
-  // for the whole block. Blocks write disjoint out slots and each (row,
-  // class) slot accumulates its trees in round order — exactly
-  // PredictRawInto's order — so blocking changes nothing but speed.
-  ParallelFor(n, /*grain=*/256, [&](size_t begin, size_t end) {
-    // Transpose the block to feature-major once; every tree of the
-    // ensemble then traverses it with unit-stride per-feature loads (and
-    // the vector kernel with per-row gathers).
-    const size_t bn = end - begin;
-    const size_t nf = flat_.num_features();
-    std::vector<double> block(nf * bn);
+  out->resize(rows.size() * kc);
+  // Each row writes only its own slots, so chunking changes nothing.
+  ParallelFor(rows.size(), /*grain=*/256, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      RVAR_CHECK_GE(rows[i].size(), nf);
-      const double* row = rows[i].data();
-      for (size_t f = 0; f < nf; ++f) block[f * bn + (i - begin)] = row[f];
-      std::copy(base_scores_.begin(), base_scores_.end(),
-                out->begin() + static_cast<ptrdiff_t>(i * kc));
-    }
-    size_t t = 0;
-    for (size_t k = 0; k < trees_.size(); ++k) {
-      for (size_t r = 0; r < trees_[k].size(); ++r, ++t) {
-        flat_.AccumulateBlock(t, block.data(), bn, bn,
-                              out->data() + begin * kc + k, kc);
-      }
+      RVAR_CHECK_GE(rows[i].size(), scorer_.node_begin.size() - 1);
+      ScoreInto(rows[i].data(), out->data() + i * kc);
     }
   });
 }
@@ -1138,7 +1218,7 @@ Result<GbdtClassifier> GbdtClassifier::Restore(
   model.base_scores_ = std::move(base_scores);
   model.trees_ = std::move(trees);
   model.importance_ = std::move(importance);
-  model.CompileFlatForest();
+  RVAR_RETURN_NOT_OK(model.CompileScorer());
   return model;
 }
 

@@ -8,6 +8,7 @@
 #ifndef RVAR_ML_GBDT_H_
 #define RVAR_ML_GBDT_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -17,11 +18,18 @@
 namespace rvar {
 namespace ml {
 
+/// The most leaves one boosted tree may hold: inference keeps one 64-bit
+/// leaf bitvector per tree (see GbdtClassifier). Fit rejects a larger
+/// GbdtConfig::max_leaves and Restore a tree that reaches more leaves,
+/// both with InvalidArgument, so every model that exists can be scored.
+inline constexpr int kMaxGbdtLeaves = 64;
+
 /// \brief Hyper-parameters of the boosted ensemble.
 struct GbdtConfig {
   int num_rounds = 100;
   double learning_rate = 0.1;
-  /// Leaf-wise growth stops when a tree reaches this many leaves.
+  /// Leaf-wise growth stops when a tree reaches this many leaves; at most
+  /// kMaxGbdtLeaves.
   int max_leaves = 31;
   int max_depth = 12;
   /// Minimum hessian-weighted sample count per leaf.
@@ -60,8 +68,9 @@ class GbdtClassifier : public Classifier {
   /// `trees[k][r]` is the round-r tree for class k (leaf values already
   /// learning-rate scaled, as trees_for_class exposes them); `importance`
   /// is sized to the feature count, which every tree is validated against.
-  /// Never crashes on hostile parts — malformed trees, size mismatches,
-  /// and non-finite scores all return InvalidArgument.
+  /// Never crashes on hostile parts — malformed trees, trees that reach
+  /// more than kMaxGbdtLeaves leaves, size mismatches, and non-finite
+  /// scores all return InvalidArgument.
   static Result<GbdtClassifier> Restore(
       const GbdtConfig& config, int num_classes,
       std::vector<double> base_scores, std::vector<std::vector<Tree>> trees,
@@ -91,23 +100,23 @@ class GbdtClassifier : public Classifier {
   /// Raw (pre-softmax) per-class scores; base_score + sum of tree outputs.
   std::vector<double> PredictRaw(const std::vector<double>& row) const;
 
-  /// Allocation-free variants over the compiled FlatForest: *out is
-  /// resized to num_classes and overwritten. Callers on hot paths keep one
-  /// buffer per thread and reuse it across rows; results are bit-identical
-  /// to PredictRaw/PredictProba.
+  /// Allocation-free variants: *out is resized to num_classes and
+  /// overwritten. Callers on hot paths keep one buffer per thread and
+  /// reuse it across rows; results are bit-identical to
+  /// PredictRaw/PredictProba. Every predict call scores through the
+  /// compiled leaf bitvectors, and each class sums its trees in round
+  /// order, so scores are bit-identical to walking trees_for_class with
+  /// Tree::FindLeaf.
   void PredictRawInto(const std::vector<double>& row,
                       std::vector<double>* out) const;
   void PredictProbaInto(const std::vector<double>& row,
                         std::vector<double>* out) const;
 
-  /// Batch prediction over the compiled FlatForest: *out is resized to
+  /// Batch prediction for offline callers: *out is resized to
   /// rows.size() * num_classes with row i's scores at [i*K, (i+1)*K).
-  /// Rows are processed in blocks, tree-outer/row-inner, through the
-  /// dispatched blocked-traversal kernel — one tree's arrays stay cache
-  /// resident across the whole block instead of being re-streamed per
-  /// row. Per row, trees accumulate in the same order as PredictRawInto,
-  /// so results are bit-identical to the per-row calls at any SIMD level
-  /// and thread count.
+  /// Rows fan out over the pool (common/parallel.h), each scored exactly
+  /// as PredictRawInto scores it, so results are bit-identical to the
+  /// per-row calls at any thread count.
   void PredictRawBatchInto(const std::vector<std::vector<double>>& rows,
                            std::vector<double>* out) const;
   void PredictProbaBatchInto(const std::vector<std::vector<double>>& rows,
@@ -135,18 +144,43 @@ class GbdtClassifier : public Classifier {
   Status FitImpl(const Dataset& train, const Dataset* valid,
                  const GbdtClassifier* parent = nullptr);
 
-  /// Rebuilds flat_ from trees_ (class-major: all rounds of class 0, then
-  /// class 1, ...). Called at the end of Fit and Restore.
-  void CompileFlatForest();
+  /// Leaf-bitvector form of trees_ (QuickScorer: Lucchese et al., SIGIR
+  /// 2015); derived, never serialized. Trees are numbered round-major
+  /// (tree t = r * K + k). Each tree's leaves are numbered left to right,
+  /// and one 64-bit word per tree marks the leaves a row can still reach.
+  /// A split node the row fails (!(x <= threshold), so NaN too) clears
+  /// the leaves of its left subtree; the lowest bit left is the exit leaf
+  /// Tree::FindLeaf reaches.
+  struct LeafScorer {
+    /// Split nodes grouped by feature — feature f's at
+    /// [node_begin[f], node_begin[f + 1]) — each group sorted by
+    /// threshold, so a row's scan of a group stops at its first passed
+    /// node.
+    std::vector<size_t> node_begin;
+    std::vector<double> node_threshold;
+    std::vector<uint32_t> node_tree;
+    /// Clears the node's left-subtree leaves in its tree's word.
+    std::vector<uint64_t> node_mask;
+    /// Tree t's leaf values, left to right, start at leaf_begin[t].
+    std::vector<uint32_t> leaf_begin;
+    std::vector<double> leaf_value;
+  };
+
+  /// Rebuilds scorer_ from trees_. Called at the end of Fit and Restore;
+  /// InvalidArgument if a tree reaches more than kMaxGbdtLeaves leaves.
+  Status CompileScorer();
+
+  /// out[k] = base_score(k) + class k's leaf values for `row`, summed in
+  /// round order. `row` holds at least node_begin.size() - 1 values (1 +
+  /// the largest split feature); `out` holds num_classes.
+  void ScoreInto(const double* row, double* out) const;
 
   GbdtConfig config_;
   int num_classes_ = 0;
   std::vector<double> base_scores_;
   // trees_[k][r]: tree for class k at round r.
   std::vector<std::vector<Tree>> trees_;
-  // SoA view of trees_ for allocation-free inference; derived, never
-  // serialized.
-  FlatForest flat_;
+  LeafScorer scorer_;
   std::vector<double> importance_;
 };
 

@@ -177,31 +177,6 @@ void BinnedAccumulateScalar(const BinnedTreeView& tree,
   }
 }
 
-void ForestAccumulateScalar(const int32_t* feature, const int32_t* fidx,
-                            const double* threshold, const int32_t* left,
-                            const int32_t* right, const double* values,
-                            size_t value_stride, size_t k, int32_t root,
-                            int depth, const double* block,
-                            size_t block_stride, size_t n, double* out,
-                            size_t out_stride) {
-  // The scalar walk exits on the leaf sentinel, so the fixed-depth bound
-  // and the guarded feature index go unused here.
-  (void)fidx;
-  (void)depth;
-  for (size_t i = 0; i < n; ++i) {
-    size_t node = static_cast<size_t>(root);
-    int32_t f = feature[node];
-    while (f >= 0) {
-      node = static_cast<size_t>(
-          block[static_cast<size_t>(f) * block_stride + i] <= threshold[node]
-              ? left[node]
-              : right[node]);
-      f = feature[node];
-    }
-    out[i * out_stride] += values[node * value_stride + k];
-  }
-}
-
 namespace {
 
 inline void BinnedStep(const BinnedTreeView& tree, const uint8_t* const* cols,
@@ -246,27 +221,23 @@ void BinnedAccumulateIlp(const BinnedTreeView& tree,
 const SimdKernels kSimdKernels[kNumSimdLevels] = {
     {detail::HistAccumulateScalar, detail::HistAccumulateMaskedScalar,
      detail::SubSpanScalar, detail::SplitScanScalar,
-     detail::LowerBoundU8Scalar, detail::BinnedAccumulateScalar,
-     detail::ForestAccumulateScalar},
+     detail::LowerBoundU8Scalar, detail::BinnedAccumulateScalar},
 #if defined(RVAR_SIMD_X86)
-    // SSE4.2 has no usable gather, so the bin search, split scan, and
-    // forest traversal stay scalar there (always bit-safe).
+    // SSE4.2 has no usable gather, so the bin search and split scan stay
+    // scalar there (always bit-safe).
     {detail::HistAccumulateSse42, detail::HistAccumulateMaskedSse42,
      detail::SubSpanSse42, detail::SplitScanScalar,
-     detail::LowerBoundU8Scalar, detail::BinnedAccumulateIlp,
-     detail::ForestAccumulateScalar},
+     detail::LowerBoundU8Scalar, detail::BinnedAccumulateIlp},
     {detail::HistAccumulateAvx2, detail::HistAccumulateMaskedSse42,
      detail::SubSpanAvx2, detail::SplitScanAvx2, detail::LowerBoundU8Avx2,
-     detail::BinnedAccumulateIlp, detail::ForestAccumulateAvx2},
+     detail::BinnedAccumulateIlp},
 #else
     {detail::HistAccumulateScalar, detail::HistAccumulateMaskedScalar,
      detail::SubSpanScalar, detail::SplitScanScalar,
-     detail::LowerBoundU8Scalar, detail::BinnedAccumulateScalar,
-     detail::ForestAccumulateScalar},
+     detail::LowerBoundU8Scalar, detail::BinnedAccumulateScalar},
     {detail::HistAccumulateScalar, detail::HistAccumulateMaskedScalar,
      detail::SubSpanScalar, detail::SplitScanScalar,
-     detail::LowerBoundU8Scalar, detail::BinnedAccumulateScalar,
-     detail::ForestAccumulateScalar},
+     detail::LowerBoundU8Scalar, detail::BinnedAccumulateScalar},
 #endif
 };
 

@@ -3,14 +3,14 @@
 // SIMD kernel dispatch table for the ML hot paths (DESIGN.md §14): dense
 // histogram accumulation (lane-partial and sequential-masked regimes),
 // histogram subtraction spans, the split-gain scan, the BinColumns bin
-// search, and the binned/flat tree traversals. One function-pointer row
+// search, and the binned tree traversal. One function-pointer row
 // per SimdLevel; the scalar row is compiled unconditionally and the
 // vector rows are compiled only when CMake's RVAR_SIMD is on (x86-64).
 //
 // The table is the bit-identity contract: every row of a column must
 // produce byte-identical outputs on identical inputs. That is possible
 // because each kernel is either purely elementwise (subtraction, cell
-// updates, the exact comparisons of the bin search and traversals) or
+// updates, the exact comparisons of the bin search and traversal) or
 // has its reduction order fixed by definition — the lane histogram kernel
 // is *specified* as four lane-local partial histograms (sample i lands in
 // lane i mod 4) reduced per-cell as ((lane0+lane1)+lane2)+lane3, and the
@@ -72,7 +72,7 @@ struct SplitScanResult {
 };
 
 /// One dispatch row. All rows are bit-identical in output; they differ
-/// only in instruction selection and (for the traversals) how many rows
+/// only in instruction selection and (for the traversal) how many rows
 /// are walked in flight.
 struct SimdKernels {
   /// Lane-partial histogram accumulation for large nodes. Overwrites the
@@ -139,26 +139,6 @@ struct SimdKernels {
   void (*binned_accumulate)(const BinnedTreeView& tree,
                             const uint8_t* const* cols, size_t begin,
                             size_t end, double* out, size_t out_stride);
-
-  /// For each row i in [0, n): traverses the FlatForest tree rooted at
-  /// `root` over a feature-major transposed row block —
-  /// block[f * block_stride + i] is row i's feature f — and adds element
-  /// `k` of the reached leaf's values into out[i * out_stride].
-  /// Requirements (FlatForest provides all three): `fidx[v]` is
-  /// max(feature[v], 0) so a leaf's feature load stays in bounds;
-  /// leaves self-loop (left[v] == right[v] == v), so stepping past a
-  /// leaf is a no-op; `depth` is >= the tree's maximum root-to-leaf edge
-  /// count, so a fixed depth-step walk always lands on the final leaf.
-  /// Each row takes exactly one add of its leaf value, and the node
-  /// comparisons (x <= threshold) are exact, so any walking strategy —
-  /// early-exit scalar or fixed-depth vector — produces identical bits.
-  void (*forest_accumulate)(const int32_t* feature, const int32_t* fidx,
-                            const double* threshold, const int32_t* left,
-                            const int32_t* right, const double* values,
-                            size_t value_stride, size_t k, int32_t root,
-                            int depth, const double* block,
-                            size_t block_stride, size_t n, double* out,
-                            size_t out_stride);
 };
 
 /// Dispatch rows indexed by SimdLevel. Rows above MaxSupportedSimdLevel()
@@ -192,13 +172,6 @@ void LowerBoundU8Scalar(const double* edges, size_t ne, const double* values,
 void BinnedAccumulateScalar(const BinnedTreeView& tree,
                             const uint8_t* const* cols, size_t begin,
                             size_t end, double* out, size_t out_stride);
-void ForestAccumulateScalar(const int32_t* feature, const int32_t* fidx,
-                            const double* threshold, const int32_t* left,
-                            const int32_t* right, const double* values,
-                            size_t value_stride, size_t k, int32_t root,
-                            int depth, const double* block,
-                            size_t block_stride, size_t n, double* out,
-                            size_t out_stride);
 
 // Four-rows-in-flight binned traversal: no special instructions, but
 // breaking the per-node dependency chain across rows is where batch
@@ -233,12 +206,6 @@ void SplitScanAvx2(const double* region, const uint64_t* mask,
                    SplitScanResult* out);
 void LowerBoundU8Avx2(const double* edges, size_t ne, const double* values,
                       size_t n, uint8_t* out);
-void ForestAccumulateAvx2(const int32_t* feature, const int32_t* fidx,
-                          const double* threshold, const int32_t* left,
-                          const int32_t* right, const double* values,
-                          size_t value_stride, size_t k, int32_t root,
-                          int depth, const double* block, size_t block_stride,
-                          size_t n, double* out, size_t out_stride);
 #endif  // RVAR_SIMD_X86
 
 }  // namespace detail

@@ -275,213 +275,6 @@ void LowerBoundU8Avx2(const double* edges, size_t ne, const double* values,
   if (i < n) LowerBoundU8Scalar(edges, ne, values + i, n - i, out + i);
 }
 
-void ForestAccumulateAvx2(const int32_t* feature, const int32_t* fidx,
-                          const double* threshold, const int32_t* left,
-                          const int32_t* right, const double* values,
-                          size_t value_stride, size_t k, int32_t root,
-                          int depth, const double* block, size_t block_stride,
-                          size_t n, double* out, size_t out_stride) {
-  // Two regimes by tree level, both exact:
-  //
-  // Levels 0-2 are specialized: level L has at most 2^L distinct nodes
-  // (a leaf above level L appears as its own children — the self-loop
-  // keeps each level's candidate set closed), so the candidates'
-  // features, thresholds, and children broadcast into registers once per
-  // call, and a group step is contiguous per-candidate column loads
-  // picked by node-id equality blends — no gathers, and the top of the
-  // tree is where every row's path concentrates.
-  //
-  // From level 3 down, rows descend four to a lane group, and four
-  // groups (16 rows) run interleaved: one group's step chain is
-  // gather-latency-bound (node -> gather feature -> gather x -> blend ->
-  // node), so the other three groups' independent chains fill the
-  // pipeline while it waits. Rows that reach their leaf early self-loop
-  // there (left == right == node, the FlatForest invariant), reading the
-  // leaf's guarded feature slot (max(feature, 0)) and threshold — loads
-  // that are in-bounds and whose compare result is discarded by the
-  // self-loop blend. A group whose four gathered features are all
-  // negative (all lanes at leaves — the common case well before `depth`
-  // on unbalanced leaf-wise trees) stops issuing steps.
-  //
-  // The final leaf, and the single add of its value, match the
-  // early-exit scalar walk exactly; the x <= threshold compares are the
-  // same exact compares, so the bits match any other walking strategy.
-  const int* f_p = reinterpret_cast<const int*>(feature);
-  const int* l_p = reinterpret_cast<const int*>(left);
-  const int* r_p = reinterpret_cast<const int*>(right);
-  const __m256i pack_even = _mm256_set_epi32(7, 5, 3, 1, 6, 4, 2, 0);
-  const __m128i bs = _mm_set1_epi32(static_cast<int>(block_stride));
-  const __m128i zero = _mm_setzero_si128();
-  // The masked gather with every lane enabled emits the same vgatherdpd as
-  // _mm256_i32gather_pd; gcc 12's header for the unmasked form reads an
-  // uninitialized source register and trips -Wmaybe-uninitialized.
-  const __m256d gather_all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  // One lockstep step for a 4-row group; returns true once every lane is
-  // at a leaf (feature == -1 — all gathered sign bits set).
-  const auto step4 = [&](__m128i& node, __m128i roff) {
-    const __m128i f = _mm_i32gather_epi32(f_p, node, 4);
-    if (_mm_movemask_ps(_mm_castsi128_ps(f)) == 0xF) return true;
-    const __m128i fi = _mm_max_epi32(f, zero);  // guarded feature slot
-    const __m256d thv = _mm256_mask_i32gather_pd(_mm256_setzero_pd(),
-                                                 threshold, node, gather_all,
-                                                 8);
-    const __m128i vidx = _mm_add_epi32(_mm_mullo_epi32(fi, bs), roff);
-    const __m256d xv = _mm256_mask_i32gather_pd(_mm256_setzero_pd(), block,
-                                                vidx, gather_all, 8);
-    const __m256d le = _mm256_cmp_pd(xv, thv, _CMP_LE_OQ);
-    const __m128i lv = _mm_i32gather_epi32(l_p, node, 4);
-    const __m128i rv = _mm_i32gather_epi32(r_p, node, 4);
-    // Pack the 4x64-bit compare mask down to 4x32-bit lanes, then route
-    // each lane left or right.
-    const __m128i lem = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
-        _mm256_castpd_si256(le), pack_even));
-    node = _mm_blendv_epi8(rv, lv, lem);
-    return false;
-  };
-  const auto add4 = [&](__m128i node, size_t row) {
-    alignas(16) int32_t leaf[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(leaf), node);
-    out[(row + 0) * out_stride] +=
-        values[static_cast<size_t>(leaf[0]) * value_stride + k];
-    out[(row + 1) * out_stride] +=
-        values[static_cast<size_t>(leaf[1]) * value_stride + k];
-    out[(row + 2) * out_stride] +=
-        values[static_cast<size_t>(leaf[2]) * value_stride + k];
-    out[(row + 3) * out_stride] +=
-        values[static_cast<size_t>(leaf[3]) * value_stride + k];
-  };
-  const auto row_offsets = [](size_t row) {
-    return _mm_set_epi32(static_cast<int>(row) + 3, static_cast<int>(row) + 2,
-                         static_cast<int>(row) + 1, static_cast<int>(row));
-  };
-  const auto pack_le = [&](__m256d le) {
-    return _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
-        _mm256_castpd_si256(le), pack_even));
-  };
-  // Specialized-level candidate data (levels 0-2; leaves self-close).
-  const size_t rt = static_cast<size_t>(root);
-  const int32_t c1[2] = {left[rt], right[rt]};
-  const int32_t c2[4] = {left[static_cast<size_t>(c1[0])],
-                         right[static_cast<size_t>(c1[0])],
-                         left[static_cast<size_t>(c1[1])],
-                         right[static_cast<size_t>(c1[1])]};
-  const double* col0 = block + static_cast<size_t>(fidx[rt]) * block_stride;
-  const __m256d thr0 = _mm256_set1_pd(threshold[rt]);
-  const __m128i l0v = _mm_set1_epi32(c1[0]);
-  const __m128i r0v = _mm_set1_epi32(c1[1]);
-  const double* col1a =
-      block + static_cast<size_t>(fidx[static_cast<size_t>(c1[0])]) *
-                  block_stride;
-  const double* col1b =
-      block + static_cast<size_t>(fidx[static_cast<size_t>(c1[1])]) *
-                  block_stride;
-  const __m256d thr1a = _mm256_set1_pd(threshold[static_cast<size_t>(c1[0])]);
-  const __m256d thr1b = _mm256_set1_pd(threshold[static_cast<size_t>(c1[1])]);
-  const __m128i l1av = _mm_set1_epi32(c2[0]);
-  const __m128i r1av = _mm_set1_epi32(c2[1]);
-  const __m128i l1bv = _mm_set1_epi32(c2[2]);
-  const __m128i r1bv = _mm_set1_epi32(c2[3]);
-  const double* col2[4];
-  __m256d thr2[4];
-  __m128i id2[3], l2v[4], r2v[4];
-  for (int j = 0; j < 4; ++j) {
-    const size_t c = static_cast<size_t>(c2[j]);
-    col2[j] = block + static_cast<size_t>(fidx[c]) * block_stride;
-    thr2[j] = _mm256_set1_pd(threshold[c]);
-    l2v[j] = _mm_set1_epi32(left[c]);
-    r2v[j] = _mm_set1_epi32(right[c]);
-    if (j < 3) id2[j] = _mm_set1_epi32(c2[j]);
-  }
-  // Level 0: one candidate — broadcast compare, no masks at all.
-  const auto step0 = [&](size_t row) {
-    const __m128i lem = pack_le(
-        _mm256_cmp_pd(_mm256_loadu_pd(col0 + row), thr0, _CMP_LE_OQ));
-    return _mm_blendv_epi8(r0v, l0v, lem);
-  };
-  // Level 1: two candidates, picked per lane by node-id equality.
-  const auto step1 = [&](__m128i node, size_t row) {
-    const __m128i m = _mm_cmpeq_epi32(node, l0v);
-    const __m256d md = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(m));
-    const __m256d xv = _mm256_blendv_pd(_mm256_loadu_pd(col1b + row),
-                                        _mm256_loadu_pd(col1a + row), md);
-    const __m256d thv = _mm256_blendv_pd(thr1b, thr1a, md);
-    const __m128i lem = pack_le(_mm256_cmp_pd(xv, thv, _CMP_LE_OQ));
-    const __m128i lv = _mm_blendv_epi8(l1bv, l1av, m);
-    const __m128i rv = _mm_blendv_epi8(r1bv, r1av, m);
-    return _mm_blendv_epi8(rv, lv, lem);
-  };
-  // Level 2: four candidates; duplicate ids (leaves above) carry
-  // identical data, so overlapping masks cannot disagree.
-  const auto step2 = [&](__m128i node, size_t row) {
-    const __m128i m0 = _mm_cmpeq_epi32(node, id2[0]);
-    const __m128i m1 = _mm_cmpeq_epi32(node, id2[1]);
-    const __m128i m2 = _mm_cmpeq_epi32(node, id2[2]);
-    const __m256d d0 = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(m0));
-    const __m256d d1 = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(m1));
-    const __m256d d2 = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(m2));
-    __m256d xv = _mm256_loadu_pd(col2[3] + row);
-    xv = _mm256_blendv_pd(xv, _mm256_loadu_pd(col2[2] + row), d2);
-    xv = _mm256_blendv_pd(xv, _mm256_loadu_pd(col2[1] + row), d1);
-    xv = _mm256_blendv_pd(xv, _mm256_loadu_pd(col2[0] + row), d0);
-    __m256d thv = thr2[3];
-    thv = _mm256_blendv_pd(thv, thr2[2], d2);
-    thv = _mm256_blendv_pd(thv, thr2[1], d1);
-    thv = _mm256_blendv_pd(thv, thr2[0], d0);
-    __m128i lv = l2v[3];
-    lv = _mm_blendv_epi8(lv, l2v[2], m2);
-    lv = _mm_blendv_epi8(lv, l2v[1], m1);
-    lv = _mm_blendv_epi8(lv, l2v[0], m0);
-    __m128i rv = r2v[3];
-    rv = _mm_blendv_epi8(rv, r2v[2], m2);
-    rv = _mm_blendv_epi8(rv, r2v[1], m1);
-    rv = _mm_blendv_epi8(rv, r2v[0], m0);
-    const __m128i lem = pack_le(_mm256_cmp_pd(xv, thv, _CMP_LE_OQ));
-    return _mm_blendv_epi8(rv, lv, lem);
-  };
-  const auto spec = [&](size_t row) {
-    __m128i node = _mm_set1_epi32(root);
-    if (depth >= 1) node = step0(row);
-    if (depth >= 2) node = step1(node, row);
-    if (depth >= 3) node = step2(node, row);
-    return node;
-  };
-  const int dspec = depth < 3 ? depth : 3;
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m128i n0 = spec(i), n1 = spec(i + 4), n2 = spec(i + 8),
-            n3 = spec(i + 12);
-    const __m128i r0 = row_offsets(i), r1 = row_offsets(i + 4),
-                  r2 = row_offsets(i + 8), r3 = row_offsets(i + 12);
-    bool f0 = false, f1 = false, f2 = false, f3 = false;
-    for (int d = dspec; d < depth && !(f0 && f1 && f2 && f3); ++d) {
-      if (!f0) f0 = step4(n0, r0);
-      if (!f1) f1 = step4(n1, r1);
-      if (!f2) f2 = step4(n2, r2);
-      if (!f3) f3 = step4(n3, r3);
-    }
-    add4(n0, i);
-    add4(n1, i + 4);
-    add4(n2, i + 8);
-    add4(n3, i + 12);
-  }
-  for (; i + 4 <= n; i += 4) {
-    __m128i node = spec(i);
-    const __m128i roff = row_offsets(i);
-    for (int d = dspec; d < depth; ++d) {
-      if (step4(node, roff)) break;
-    }
-    add4(node, i);
-  }
-  if (i < n) {
-    // The row offset folds into the block base: rows j of (block + i)
-    // are rows i + j of the original transposed block.
-    ForestAccumulateScalar(feature, fidx, threshold, left, right, values,
-                           value_stride, k, root, depth, block + i,
-                           block_stride, n - i, out + i * out_stride,
-                           out_stride);
-  }
-}
-
 }  // namespace detail
 }  // namespace ml
 }  // namespace rvar

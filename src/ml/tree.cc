@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/strings.h"
-#include "ml/simd_kernels.h"
 
 namespace rvar {
 namespace ml {
@@ -66,36 +65,20 @@ void FlatForest::Add(const Tree& tree) {
   }
   const int32_t base = static_cast<int32_t>(feature_.size());
   roots_.push_back(base);
-  depth_.push_back(tree.Depth());
   feature_.reserve(feature_.size() + tree.nodes.size());
-  for (size_t i = 0; i < tree.nodes.size(); ++i) {
-    const TreeNode& node = tree.nodes[i];
+  for (const TreeNode& node : tree.nodes) {
     RVAR_CHECK_EQ(node.value.size(), value_stride_);
-    const int32_t self = base + static_cast<int32_t>(i);
     feature_.push_back(node.feature);
-    fidx_.push_back(node.feature >= 0 ? node.feature : 0);
     threshold_.push_back(node.threshold);
     // Children are tree-local indices; relocate to forest-wide ones.
-    // Leaves self-loop so the fixed-depth traversal kernel can step past
-    // them as a no-op (FindLeaf exits on the feature sentinel and never
-    // reads a leaf's children).
-    left_.push_back(node.feature >= 0 ? base + node.left : self);
-    right_.push_back(node.feature >= 0 ? base + node.right : self);
+    left_.push_back(node.feature >= 0 ? base + node.left : -1);
+    right_.push_back(node.feature >= 0 ? base + node.right : -1);
     value_.insert(value_.end(), node.value.begin(), node.value.end());
     if (node.feature >= 0) {
       num_features_ = std::max(num_features_,
                                static_cast<size_t>(node.feature) + 1);
     }
   }
-}
-
-void FlatForest::AccumulateBlock(size_t t, const double* block,
-                                 size_t block_stride, size_t n, double* out,
-                                 size_t out_stride, size_t k) const {
-  ActiveSimdKernels().forest_accumulate(
-      feature_.data(), fidx_.data(), threshold_.data(), left_.data(),
-      right_.data(), value_.data(), value_stride_, k, roots_[t], depth_[t],
-      block, block_stride, n, out, out_stride);
 }
 
 Result<BinnedDataset> BinnedDataset::Make(const FeatureBinner& binner,

@@ -53,13 +53,13 @@ struct Tree {
   int NumLeaves() const;
 };
 
-/// \brief Structure-of-arrays forest layout compiled from trained `Tree`s
-/// for the serving hot path (DESIGN.md §10).
+/// \brief Structure-of-arrays layout of a random forest for inference
+/// (DESIGN.md §10); boosted ensembles score through GbdtClassifier's leaf
+/// bitvectors instead.
 ///
 /// `Tree` keeps a heap-allocated `std::vector<double>` per node, so a
-/// traversal chases a pointer per node and a prediction allocates nothing
-/// only by luck of the caller. FlatForest re-lays an entire ensemble into
-/// five contiguous arrays (feature / threshold / children / node-major leaf
+/// traversal chases a pointer per node. FlatForest re-lays an ensemble into
+/// contiguous arrays (feature / threshold / children / node-major leaf
 /// values), making a prediction a handful of sequential array reads with
 /// zero allocation. Traversal performs the same comparisons in the same
 /// order as Tree::FindLeaf, so predictions are bit-identical to the
@@ -74,8 +74,8 @@ class FlatForest {
 
   bool empty() const { return roots_.empty(); }
   size_t num_trees() const { return roots_.size(); }
-  /// Leaf values per node (1 for boosting/regression trees, K for
-  /// classification forests). 0 until the first Add.
+  /// Leaf values per node (1 for regression trees, K for classification
+  /// forests). 0 until the first Add.
   size_t value_stride() const { return value_stride_; }
   /// 1 + the largest feature index any tree splits on; rows passed to the
   /// predict calls must hold at least this many values.
@@ -104,29 +104,12 @@ class FlatForest {
     return Values(t, row)[k];
   }
 
-  /// Batch form of `out[i * out_stride] += PredictScalar(t, row i, k)`
-  /// for i in [0, n) over a feature-major transposed row block —
-  /// block[f * block_stride + i] is row i's feature f (the transpose is
-  /// paid once per block and amortizes over every tree of the ensemble).
-  /// Dispatches to the blocked traversal kernel (simd_kernels.h), which
-  /// walks several rows in flight. Each row gets exactly one add, so the
-  /// result is bit-identical to the per-row calls at every SIMD level.
-  void AccumulateBlock(size_t t, const double* block, size_t block_stride,
-                       size_t n, double* out, size_t out_stride,
-                       size_t k = 0) const;
-
  private:
   std::vector<int32_t> feature_;    // -1 marks a leaf
-  std::vector<int32_t> fidx_;       // max(feature_, 0): guarded feature slot
   std::vector<double> threshold_;
-  /// Forest-wide node indices. Leaves self-loop (left_[v] == right_[v] ==
-  /// v) so a fixed-depth vector walk can keep stepping past a finished
-  /// row as a no-op; FindLeaf exits on the feature sentinel first, so the
-  /// scalar path never reads them.
-  std::vector<int32_t> left_, right_;
+  std::vector<int32_t> left_, right_;  // forest-wide node indices
   std::vector<double> value_;       // node-major, value_stride_ per node
   std::vector<int32_t> roots_;      // first node of each tree
-  std::vector<int32_t> depth_;      // per-tree max root-to-leaf edge count
   size_t value_stride_ = 0;
   size_t num_features_ = 0;
 };

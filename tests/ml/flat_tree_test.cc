@@ -1,6 +1,7 @@
-// FlatForest (the SoA inference layout compiled from trained Trees) must
-// be a pure re-layout: every prediction routed through it is bit-identical
-// to walking the original Tree node structs, across the tier-1 model
+// The compiled inference layouts must be pure re-layouts: every
+// prediction routed through FlatForest (the random forests' SoA node
+// arrays) or through GbdtClassifier's leaf bitvectors is bit-identical to
+// walking the original Tree node structs, across the tier-1 model
 // families (GBDT classifier, random forest classifier/regressor) and
 // across the serialize/restore path.
 
@@ -67,8 +68,8 @@ TEST(FlatForestTest, GbdtRawScoresMatchTreeWalk) {
   GbdtClassifier model({.num_rounds = 12});
   ASSERT_TRUE(model.Fit(d).ok());
   for (size_t i = 0; i < d.NumRows(); i += 7) {
-    // PredictRaw runs over the compiled FlatForest; re-derive the same
-    // scores by walking the Tree structs.
+    // PredictRaw runs over the compiled leaf bitvectors; re-derive the
+    // same scores by walking the Tree structs.
     const std::vector<double> fast = model.PredictRaw(d.x[i]);
     ASSERT_EQ(fast.size(), static_cast<size_t>(model.num_classes()));
     for (int k = 0; k < model.num_classes(); ++k) {

@@ -440,9 +440,10 @@ TEST_F(FrontendTest, ShardRoutedQueuesServeEveryShardCorrectly) {
 
 // Differential oracle under concurrent load: four client threads submit
 // every D3 run without waiting, so shard queues back up past 32 requests
-// and PredictShapeBatchInto takes its ParallelFor path inside the
-// workers. Every full-model answer must equal PredictShapeBatch for the
-// epoch the service publishes.
+// and the workers score batches of up to 64 inline through
+// PredictShapeBatchInto, while the oracle, PredictShapeBatch, fans
+// 256-run chunks of the same routine over the pool. Every full-model
+// answer must equal the oracle's for the epoch the service publishes.
 TEST_F(FrontendTest, ConcurrentFullModelAnswersMatchBatchOracle) {
   core::ShapeService::Options sopts;
   sopts.num_shards = 8;
