@@ -831,7 +831,7 @@ void WriteBenchSketchJson() {
 // pair makes the vectorization win visible in the CI table (baseline.json
 // pins the SIMD-sensitive baselines to scalar timings, so the SIMD build
 // reads as an improvement, never a regression, on any runner generation).
-// Inference has no SIMD row, so flatforest_predict_1t has no scalar twin.
+// Inference has no SIMD row, so gbdt_predict_row_1t has no scalar twin.
 void WriteBenchGbdtJson() {
   const ml::Dataset train_data = MakeTabular(4000, 30, 3, 11);
   const ml::Dataset predict_data = MakeTabular(3000, 30, 3, 35);
@@ -920,7 +920,7 @@ void WriteBenchGbdtJson() {
                "    \"gbdt_predict_batch\": %.6f,\n"
                "    \"gbdt_hist_accumulate\": %.6f,\n"
                "    \"gbdt_hist_accumulate_scalar\": %.6f,\n"
-               "    \"flatforest_predict_1t\": %.6f\n"
+               "    \"gbdt_predict_row_1t\": %.6f\n"
                "  }\n}\n",
                calibration, SimdLevelName(active_level), train_1t,
                train_1t_scalar, train_4t, predict_batch, hist_simd,

@@ -11,9 +11,12 @@ then fires on the *normalized* ratio:
     ratio = (current_kernel / current_calibration)
           / (baseline_kernel / baseline_calibration)
 
-A kernel whose ratio exceeds 1 + tolerance fails the job. Kernels only
-present on one side are reported but never fail the gate (they appear when
-the kernel set evolves; refresh the baseline in the same PR).
+A kernel whose ratio exceeds 1 + tolerance fails the job. So does a
+current kernel with no baseline entry: a kernel renamed or added on the
+bench side without its baseline entry would otherwise go ungated. Add it to
+bench/baseline.json in the same change. A baseline kernel absent from the
+current files is reported but does not fail: each invocation passes only
+some of the BENCH_*.json files.
 
 --current may repeat; each file carries its own calibration, and their
 kernel maps are merged (duplicate kernel names across files are an error).
@@ -80,6 +83,7 @@ def main():
           f"{'norm ratio':>10}  verdict")
 
     regressions = []
+    ungated = []
     for name in sorted(set(base) | set(cur)):
         if name not in cur:
             print(f"{name:<24} {base[name]:>10.4f} {'-':>10} {'-':>10}  "
@@ -88,7 +92,8 @@ def main():
         seconds, cur_cal = cur[name]
         if name not in base:
             print(f"{name:<24} {'-':>10} {seconds:>10.4f} {'-':>10}  "
-                  "new kernel (not gated)")
+                  "NO BASELINE")
+            ungated.append(name)
             continue
         ratio = (seconds / cur_cal) / (base[name] / base_cal)
         verdict = "ok"
@@ -100,10 +105,13 @@ def main():
         print(f"{name:<24} {base[name]:>10.4f} {seconds:>10.4f} "
               f"{ratio:>10.2f}  {verdict}")
 
-    if regressions:
+    if regressions or ungated:
         print()
         for name, ratio in regressions:
             print(f"FAIL: {name} is {ratio:.2f}x its normalized baseline")
+        for name in ungated:
+            print(f"FAIL: {name} has no baseline entry; add it to "
+                  "bench/baseline.json")
         sys.exit(1)
     print("\nbench-regression gate passed")
 

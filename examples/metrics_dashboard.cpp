@@ -99,7 +99,7 @@ int main() {
         // Overlapping group sets across threads, so shards contend.
         const int group = (t * 5 + i) % 24;
         (void)(*service)->Observe(group, client_rng.Uniform(0.5, 3.5));
-        if (i % 8 == 0) (void)(*service)->Posterior(group);
+        if (i % 8 == 0) (void)(*service)->PriorShape(group);
       }
     });
   }

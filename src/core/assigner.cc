@@ -3,28 +3,20 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/strings.h"
-
 namespace rvar {
 namespace core {
 
-Result<ClusterLogPmf> ClusterLogPmf::Make(const ShapeLibrary& library,
-                                          double pmf_floor) {
-  if (pmf_floor <= 0.0) {
-    return Status::InvalidArgument(
-        StrCat("pmf_floor must be positive, got ", pmf_floor));
-  }
+ClusterLogPmf ClusterLogPmf::Make(const ShapeLibrary& library) {
   ClusterLogPmf table;
   table.num_clusters_ = library.num_clusters();
   table.num_bins_ = library.grid().num_bins();
-  table.pmf_floor_ = pmf_floor;
   table.log_pmf_.resize(static_cast<size_t>(table.num_clusters_) *
                         static_cast<size_t>(table.num_bins_));
   for (int c = 0; c < table.num_clusters_; ++c) {
     std::vector<double> floored = library.shape(c);
     double mass = 0.0;
     for (double& v : floored) {
-      v = std::max(v, pmf_floor);
+      v = std::max(v, kPmfFloor);
       mass += v;
     }
     double* lp = table.log_pmf_.data() +
@@ -36,21 +28,15 @@ Result<ClusterLogPmf> ClusterLogPmf::Make(const ShapeLibrary& library,
   return table;
 }
 
-Result<std::shared_ptr<const ClusterLogPmf>> ClusterLogPmf::MakeShared(
-    const ShapeLibrary& library, double pmf_floor) {
-  RVAR_ASSIGN_OR_RETURN(ClusterLogPmf table, Make(library, pmf_floor));
-  return std::shared_ptr<const ClusterLogPmf>(
-      std::make_shared<ClusterLogPmf>(std::move(table)));
+std::shared_ptr<const ClusterLogPmf> ClusterLogPmf::MakeShared(
+    const ShapeLibrary& library) {
+  return std::make_shared<const ClusterLogPmf>(Make(library));
 }
 
-PosteriorAssigner::PosteriorAssigner(const ShapeLibrary* library,
-                                     double pmf_floor)
+PosteriorAssigner::PosteriorAssigner(const ShapeLibrary* library)
     : library_(library) {
   RVAR_CHECK(library != nullptr);
-  Result<std::shared_ptr<const ClusterLogPmf>> table =
-      ClusterLogPmf::MakeShared(*library, pmf_floor);
-  RVAR_CHECK(table.ok());
-  log_pmf_ = std::move(*table);
+  log_pmf_ = ClusterLogPmf::MakeShared(*library);
 }
 
 PosteriorAssigner::PosteriorAssigner(

@@ -25,24 +25,28 @@
 namespace rvar {
 namespace core {
 
+/// Probability floor applied to every cluster PMF bin before taking logs,
+/// so a bin no reference group reached scores log(kPmfFloor) instead of
+/// -inf. One value for the whole system; the recovery snapshot header
+/// still records it (io/recovery.cc).
+inline constexpr double kPmfFloor = 1e-6;
+
 /// \brief Immutable log of the floored, renormalized cluster PMFs.
 ///
-/// Each row c holds log(theta_h^c) where theta was floored at `pmf_floor`
+/// Each row c holds log(theta_h^c) where theta was floored at kPmfFloor
 /// and renormalized, flattened row-major as [cluster * num_bins + bin] so
 /// Equation 9's per-cluster score is one contiguous dot product.
 class ClusterLogPmf {
  public:
-  /// Fails on a non-positive floor. `library` is only read during Make.
-  static Result<ClusterLogPmf> Make(const ShapeLibrary& library,
-                                    double pmf_floor = 1e-6);
+  /// `library` is only read during Make.
+  static ClusterLogPmf Make(const ShapeLibrary& library);
 
   /// Make, boxed for sharing across trackers/shards.
-  static Result<std::shared_ptr<const ClusterLogPmf>> MakeShared(
-      const ShapeLibrary& library, double pmf_floor = 1e-6);
+  static std::shared_ptr<const ClusterLogPmf> MakeShared(
+      const ShapeLibrary& library);
 
   int num_clusters() const { return num_clusters_; }
   int num_bins() const { return num_bins_; }
-  double pmf_floor() const { return pmf_floor_; }
 
   /// Row of cluster `c` (length num_bins()).
   const double* row(int c) const {
@@ -71,7 +75,6 @@ class ClusterLogPmf {
   std::vector<double> log_pmf_;
   int num_clusters_ = 0;
   int num_bins_ = 0;
-  double pmf_floor_ = 0.0;
 };
 
 /// \brief One cluster's likelihood score.
@@ -85,10 +88,7 @@ struct ClusterLikelihood {
 class PosteriorAssigner {
  public:
   /// \param library must outlive the assigner.
-  /// \param pmf_floor probability floor applied to cluster PMF bins before
-  ///        taking logs, so unobserved bins don't yield -inf.
-  explicit PosteriorAssigner(const ShapeLibrary* library,
-                             double pmf_floor = 1e-6);
+  explicit PosteriorAssigner(const ShapeLibrary* library);
 
   /// Shares a prebuilt log table instead of building one; the table must
   /// have been built from `library`.

@@ -27,28 +27,23 @@ Status CheckObservation(int group_id, double normalized_runtime) {
 }
 
 OnlineShapeTracker::OnlineShapeTracker(
-    const ShapeLibrary* library, std::shared_ptr<const ClusterLogPmf> log_pmf,
-    double decay, KllSketch sketch)
+    const ShapeLibrary* library, std::shared_ptr<const ClusterLogPmf> log_pmf)
     : library_(library),
-      decay_(decay),
       log_pmf_(std::move(log_pmf)),
-      sketch_(std::move(sketch)) {
+      sketch_(*KllSketch::Make(KllSketch::kDefaultK)) {
   ll_.assign(static_cast<size_t>(log_pmf_->num_clusters()), 0.0);
 }
 
 Result<OnlineShapeTracker> OnlineShapeTracker::Make(
-    const ShapeLibrary* library, double decay, double pmf_floor) {
+    const ShapeLibrary* library) {
   if (library == nullptr) {
     return Status::InvalidArgument("null shape library");
   }
-  RVAR_ASSIGN_OR_RETURN(std::shared_ptr<const ClusterLogPmf> table,
-                        ClusterLogPmf::MakeShared(*library, pmf_floor));
-  return Make(library, std::move(table), decay);
+  return Make(library, ClusterLogPmf::MakeShared(*library));
 }
 
 Result<OnlineShapeTracker> OnlineShapeTracker::Make(
-    const ShapeLibrary* library, std::shared_ptr<const ClusterLogPmf> log_pmf,
-    double decay, int sketch_k) {
+    const ShapeLibrary* library, std::shared_ptr<const ClusterLogPmf> log_pmf) {
   if (library == nullptr) {
     return Status::InvalidArgument("null shape library");
   }
@@ -63,13 +58,7 @@ Result<OnlineShapeTracker> OnlineShapeTracker::Make(
                library->num_clusters(), " x ", library->grid().num_bins(),
                ")"));
   }
-  if (decay <= 0.0 || decay > 1.0) {
-    return Status::InvalidArgument(
-        StrCat("decay must be in (0,1], got ", decay));
-  }
-  RVAR_ASSIGN_OR_RETURN(KllSketch sketch, KllSketch::Make(sketch_k));
-  return OnlineShapeTracker(library, std::move(log_pmf), decay,
-                            std::move(sketch));
+  return OnlineShapeTracker(library, std::move(log_pmf));
 }
 
 void OnlineShapeTracker::Observe(double normalized_runtime) {
@@ -81,36 +70,22 @@ void OnlineShapeTracker::Observe(double normalized_runtime) {
   }
   const int bin = library_->grid().BinIndex(normalized_runtime);
   for (size_t c = 0; c < ll_.size(); ++c) {
-    ll_[c] = decay_ * ll_[c] + log_pmf_->row(static_cast<int>(c))[bin];
+    ll_[c] += log_pmf_->row(static_cast<int>(c))[bin];
   }
   sketch_.UpdateClamped(library_->grid(), normalized_runtime);
   ++count_;
 }
 
-int OnlineShapeTracker::MostLikely() const {
-  if (count_ == 0) return library_->GlobalPriorShape();
-  return static_cast<int>(
-      std::max_element(ll_.begin(), ll_.end()) - ll_.begin());
-}
-
-std::vector<double> OnlineShapeTracker::Posterior() const {
-  std::vector<double> p(ll_.size(), 1.0 / static_cast<double>(ll_.size()));
-  if (count_ == 0) return p;
-  double mx = -std::numeric_limits<double>::infinity();
-  for (double v : ll_) mx = std::max(mx, v);
-  double sum = 0.0;
-  for (size_t c = 0; c < ll_.size(); ++c) {
-    p[c] = std::exp(ll_[c] - mx);
-    sum += p[c];
-  }
-  for (double& v : p) v /= sum;
-  return p;
-}
-
 double OnlineShapeTracker::ProbabilityOf(int cluster) const {
   RVAR_CHECK(cluster >= 0 &&
              static_cast<size_t>(cluster) < ll_.size());
-  return Posterior()[static_cast<size_t>(cluster)];
+  if (count_ == 0) return 1.0 / static_cast<double>(ll_.size());
+  // Softmax of the sums (uniform prior), shifted by the max for range.
+  double mx = -std::numeric_limits<double>::infinity();
+  for (double v : ll_) mx = std::max(mx, v);
+  double sum = 0.0;
+  for (double v : ll_) sum += std::exp(v - mx);
+  return std::exp(ll_[static_cast<size_t>(cluster)] - mx) / sum;
 }
 
 GroupState OnlineShapeTracker::ExportState(int group_id) const {
@@ -126,11 +101,11 @@ Status OnlineShapeTracker::RestoreState(GroupState state) {
                " clusters"));
   }
   for (double v : state.log_likelihood) {
-    if (std::isnan(v) || v > 0.0) {
-      // Sums of log-probabilities are <= 0; -inf (all mass at the floor)
-      // is possible under extreme decay so only NaN and positives reject.
+    if (!std::isfinite(v) || v > 0.0) {
+      // Each sum adds one floored log-probability per observation, so it
+      // is finite and <= 0; a -inf would turn ProbabilityOf into NaN.
       return Status::InvalidArgument(
-          "restored log-likelihood sums must be non-positive");
+          "restored log-likelihood sums must be finite and non-positive");
     }
   }
   if (state.count < 0 || state.num_clamped < 0) {
@@ -149,13 +124,6 @@ Status OnlineShapeTracker::RestoreState(GroupState state) {
   num_clamped_ = state.num_clamped;
   sketch_ = std::move(state.sketch);
   return Status::OK();
-}
-
-void OnlineShapeTracker::Reset() {
-  std::fill(ll_.begin(), ll_.end(), 0.0);
-  count_ = 0;
-  num_clamped_ = 0;
-  sketch_ = *KllSketch::Make(sketch_.k());
 }
 
 }  // namespace core

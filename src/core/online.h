@@ -3,16 +3,17 @@
 // Online (incremental) shape tracking. The posterior log-likelihood of
 // Section 5.2 factorizes over observations, so a group's cluster
 // membership can be maintained as a running sum — one bin lookup per new
-// run — which turns the assigner into a streaming drift detector: as soon
-// as recent runs stop looking like the group's historic shape, the
-// posterior flips.
+// run. The sums never forget: they are n times Eq. 9 over every run the
+// group has seen, so ProbabilityOf (the drift score) falls once the runs
+// since a shift outweigh the history before it, not at the first run that
+// looks different.
 //
 // The tracker is the whole per-group state (DESIGN.md §7, §13, §15): it
-// keeps both views of the group's observation PMF — the discounted Eq. 3
-// running sums and a bounded KLL sketch of the raw observations — and
-// updates both in one Observe. ShapeService (served) and
-// io::RecoveryManager (durable) hold one tracker per group, and both
-// checkpoint it as the same GroupState record (io/serialize.h).
+// keeps both views of the group's observation PMF — the Eq. 3 running
+// sums and a bounded KLL sketch of the raw observations — and updates
+// both in one Observe. ShapeService (served) and io::RecoveryManager
+// (durable) hold one tracker per group, and both checkpoint it as the
+// same GroupState record (io/serialize.h).
 
 #ifndef RVAR_CORE_ONLINE_H_
 #define RVAR_CORE_ONLINE_H_
@@ -35,13 +36,13 @@ namespace core {
 /// checkpointed and restored.
 Status CheckObservation(int group_id, double normalized_runtime);
 
-/// One group's checkpointable state: the tracker's discounted sums and
+/// One group's checkpointable state: the tracker's running sums and
 /// counters plus its quantile sketch. This is the per-group record that
 /// io/serialize.h encodes, identically, in the ShapeService image and in
 /// the recovery snapshot.
 struct GroupState {
   int group_id = 0;
-  std::vector<double> log_likelihood;  ///< per-cluster discounted sums
+  std::vector<double> log_likelihood;  ///< per-cluster Eq. 3 sums
   int64_t count = 0;
   int64_t num_clamped = 0;
   KllSketch sketch;  ///< bounded per-group summary; keeps its own k
@@ -49,29 +50,21 @@ struct GroupState {
 
 /// \brief Streaming posterior over canonical shapes for one job group.
 ///
-/// Maintains per-cluster log-likelihood sums with optional exponential
-/// decay, so old observations fade and the tracker follows the *current*
-/// behavior of the group, plus the group's KLL sketch (sketch()), from
-/// which ShapeService rebuilds the observation PMF on demand.
+/// Maintains per-cluster log-likelihood sums (floored at kPmfFloor) plus
+/// the group's KLL sketch (sketch(), k = KllSketch::kDefaultK), from which
+/// ShapeService rebuilds the observation PMF on demand.
 class OnlineShapeTracker {
  public:
   /// \param library must outlive the tracker.
-  /// \param decay per-observation multiplier on past log-likelihood mass
-  ///        in (0, 1]; 1 = never forget, 0.99 ≈ a ~100-run memory.
-  /// \param pmf_floor probability floor before taking logs.
-  static Result<OnlineShapeTracker> Make(const ShapeLibrary* library,
-                                         double decay = 1.0,
-                                         double pmf_floor = 1e-6);
+  static Result<OnlineShapeTracker> Make(const ShapeLibrary* library);
 
   /// Make with a prebuilt, shared log table (one ~13 KB ClusterLogPmf can
   /// serve millions of trackers; the per-tracker state is then just the k
   /// running sums and the sketch). The table must have been built from
-  /// `library`. `sketch_k` is the accuracy knob of the group's KLL
-  /// sketch, in [KllSketch::kMinK, KllSketch::kMaxK].
+  /// `library`.
   static Result<OnlineShapeTracker> Make(
       const ShapeLibrary* library,
-      std::shared_ptr<const ClusterLogPmf> log_pmf, double decay = 1.0,
-      int sketch_k = KllSketch::kDefaultK);
+      std::shared_ptr<const ClusterLogPmf> log_pmf);
 
   /// Incorporates one normalized runtime observation into the sums and
   /// the sketch. Non-finite inputs degrade gracefully instead of
@@ -80,36 +73,20 @@ class OnlineShapeTracker {
   /// equals count().
   void Observe(double normalized_runtime);
 
-  /// Number of observations incorporated (undiscounted count).
+  /// Number of observations incorporated.
   int64_t count() const { return count_; }
 
   /// Non-finite observations seen so far (NaN dropped, ±inf clamped).
   int64_t num_clamped() const { return num_clamped_; }
 
-  /// Most likely cluster so far (lowest index on ties);
-  /// ShapeLibrary::GlobalPriorShape() before any observation.
-  int MostLikely() const;
-
-  /// Posterior probabilities over clusters (uniform prior). Uniform
-  /// before any observation.
-  std::vector<double> Posterior() const;
-
-  /// log-likelihood sums per cluster (the discounted Eq. 3 sums).
-  const std::vector<double>& log_likelihood() const { return ll_; }
-
   /// The group's quantile sketch over every counted observation (clamped
   /// into the library grid).
   const KllSketch& sketch() const { return sketch_; }
 
-  /// Posterior probability that the group is still in `cluster` — a
-  /// drift score: low values mean recent runs look like another shape.
+  /// Posterior probability (uniform prior) that the group is in
+  /// `cluster` — the drift score: low values mean the runs seen so far
+  /// look like another shape. 1/K before any observation.
   double ProbabilityOf(int cluster) const;
-
-  /// Forgets everything.
-  void Reset();
-
-  double decay() const { return decay_; }
-  double pmf_floor() const { return log_pmf_->pmf_floor(); }
 
   /// This tracker's state, recorded as group `group_id`.
   GroupState ExportState(int group_id) const;
@@ -118,17 +95,15 @@ class OnlineShapeTracker {
   /// Validates sizes and signs so a corrupt snapshot cannot poison the
   /// posterior, and requires the sketch to hold exactly `count` samples,
   /// as every state Observe produces does. The sketch keeps the k it was
-  /// written with, whatever this tracker was made with. On error the
-  /// tracker is unchanged.
+  /// written with (any k the sketch codec accepts), so a record written
+  /// with another k restores intact. On error the tracker is unchanged.
   Status RestoreState(GroupState state);
 
  private:
   OnlineShapeTracker(const ShapeLibrary* library,
-                     std::shared_ptr<const ClusterLogPmf> log_pmf,
-                     double decay, KllSketch sketch);
+                     std::shared_ptr<const ClusterLogPmf> log_pmf);
 
   const ShapeLibrary* library_;
-  double decay_;
   /// Shared immutable log theta table — NOT per-tracker state.
   std::shared_ptr<const ClusterLogPmf> log_pmf_;
   std::vector<double> ll_;

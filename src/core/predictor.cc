@@ -66,8 +66,8 @@ Result<std::unique_ptr<VariationPredictor>> VariationPredictor::Train(
                             config.shape));
     predictor->shapes_ = std::make_unique<ShapeLibrary>(std::move(shapes));
   }
-  predictor->assigner_ = std::make_unique<PosteriorAssigner>(
-      predictor->shapes_.get(), config.pmf_floor);
+  predictor->assigner_ =
+      std::make_unique<PosteriorAssigner>(predictor->shapes_.get());
 
   // Step 1: label D2 groups by posterior likelihood.
   RVAR_ASSIGN_OR_RETURN(auto labels, [&] {

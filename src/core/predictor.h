@@ -35,8 +35,6 @@ struct PredictorConfig {
   double max_abs_correlation = 0.98;
   /// Groups need this many observations in a slice to receive a label.
   int min_label_support = 3;
-  /// Probability floor for posterior likelihoods.
-  double pmf_floor = 1e-6;
 };
 
 /// \brief Figure 7's evaluation artifacts.

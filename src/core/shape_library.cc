@@ -28,13 +28,6 @@ Status ValidateConfig(const ShapeLibraryConfig& config) {
   if (config.smoothing_radius < 0) {
     return Status::InvalidArgument("smoothing_radius must be >= 0");
   }
-  if (config.use_sketches &&
-      (config.sketch_k < KllSketch::kMinK ||
-       config.sketch_k > KllSketch::kMaxK)) {
-    return Status::InvalidArgument(
-        StrCat("sketch_k must be in [", KllSketch::kMinK, ", ",
-               KllSketch::kMaxK, "], got ", config.sketch_k));
-  }
   return Status::OK();
 }
 
@@ -62,10 +55,9 @@ Result<ShapeLibrary> ShapeLibrary::Build(
   struct BuiltGroup {
     bool usable = false;
     std::vector<double> pmf;
-    std::vector<double> finite;       // dense mode: raw normalized runtimes
-    std::optional<KllSketch> sketch;  // sketch mode: bounded summary
-    RunningStats moments;             // sketch mode: exact moment sums
-    int64_t outliers = 0;             // sketch mode: count >= threshold
+    std::optional<KllSketch> sketch;  // bounded summary
+    RunningStats moments;             // exact moment sums
+    int64_t outliers = 0;             // count >= threshold
   };
   std::vector<BuiltGroup> built(candidates.size());
   ParallelFor(candidates.size(), /*grain=*/1, [&](size_t begin, size_t end) {
@@ -74,41 +66,28 @@ Result<ShapeLibrary> ShapeLibrary::Build(
           reference, candidates[g], medians, config.normalization);
       if (!normalized.ok()) continue;
       BuiltGroup& out = built[g];
-      if (config.use_sketches) {
-        // Stream every finite observation into bounded state instead of
-        // retaining the raw vector: the sketch reconstructs the PMF and
-        // the Table 2 quantiles, the moment accumulator keeps the stddev
-        // exact, and the outlier tally is an exact counter.
-        KllSketch sketch = *KllSketch::Make(config.sketch_k);
-        for (double x : *normalized) {
-          if (!std::isfinite(x)) continue;
-          sketch.Update(x);
-          out.moments.Add(x);
-          out.outliers += (x >= outlier_at);
-        }
-        if (sketch.n() < config.min_support) continue;
-        sketch.BinCountsInto(lib.grid_, &out.pmf);
-        FinishObservationPmfInPlace(&out.pmf, config.smoothing_radius);
-        out.sketch.emplace(std::move(sketch));
-      } else {
-        out.finite.reserve(normalized->size());
-        for (double x : *normalized) {
-          if (std::isfinite(x)) out.finite.push_back(x);
-        }
-        if (static_cast<int>(out.finite.size()) < config.min_support) {
-          out.finite.clear();
-          continue;
-        }
-        out.pmf = lib.ObservationPmf(out.finite);
+      // Stream every finite observation into bounded state instead of
+      // retaining the raw vector: the sketch reconstructs the PMF and the
+      // Table 2 quantiles, the moment accumulator keeps the stddev exact,
+      // and the outlier tally is an exact counter.
+      KllSketch sketch = *KllSketch::Make(KllSketch::kDefaultK);
+      for (double x : *normalized) {
+        if (!std::isfinite(x)) continue;
+        sketch.Update(x);
+        out.moments.Add(x);
+        out.outliers += (x >= outlier_at);
       }
+      if (sketch.n() < config.min_support) continue;
+      sketch.BinCountsInto(lib.grid_, &out.pmf);
+      FinishObservationPmfInPlace(&out.pmf, config.smoothing_radius);
+      out.sketch.emplace(std::move(sketch));
       out.usable = true;
     }
   });
 
   std::vector<int> groups;
   std::vector<std::vector<double>> pmfs;
-  std::vector<std::vector<double>> raw;            // dense mode
-  std::vector<std::optional<KllSketch>> sketches;  // sketch mode
+  std::vector<std::optional<KllSketch>> sketches;
   std::vector<RunningStats> moments;
   std::vector<int64_t> outlier_counts;
   groups.reserve(candidates.size());
@@ -120,13 +99,9 @@ Result<ShapeLibrary> ShapeLibrary::Build(
     }
     groups.push_back(candidates[g]);
     pmfs.push_back(std::move(built[g].pmf));
-    if (config.use_sketches) {
-      sketches.push_back(std::move(built[g].sketch));
-      moments.push_back(built[g].moments);
-      outlier_counts.push_back(built[g].outliers);
-    } else {
-      raw.push_back(std::move(built[g].finite));
-    }
+    sketches.push_back(std::move(built[g].sketch));
+    moments.push_back(built[g].moments);
+    outlier_counts.push_back(built[g].outliers);
   }
   if (static_cast<int>(groups.size()) < config.num_clusters) {
     return Status::FailedPrecondition(
@@ -160,62 +135,35 @@ Result<ShapeLibrary> ShapeLibrary::Build(
     }
   }
 
-  if (config.use_sketches) {
-    // Per-cluster aggregates: member sketches merge in ascending group
-    // order, so the pooled quantiles are a deterministic function of the
-    // cluster membership alone. Quantiles carry the sketch's rank-error
-    // bound; sample count, outlier probability and stddev stay exact.
-    std::vector<std::optional<KllSketch>> pooled(static_cast<size_t>(k));
-    std::vector<RunningStats> pooled_moments(static_cast<size_t>(k));
-    std::vector<int64_t> pooled_outliers(static_cast<size_t>(k), 0);
-    for (size_t g = 0; g < groups.size(); ++g) {
-      const size_t c = static_cast<size_t>(model.assignments[g]);
-      if (!pooled[c].has_value()) {
-        pooled[c].emplace(*KllSketch::Make(config.sketch_k));
-      }
-      RVAR_RETURN_NOT_OK(pooled[c]->Merge(*sketches[g]));
-      pooled_moments[c].Merge(moments[g]);
-      pooled_outliers[c] += outlier_counts[g];
-      group_count[c]++;
+  // Per-cluster aggregates: member sketches merge in ascending group
+  // order, so the pooled quantiles are a deterministic function of the
+  // cluster membership alone. Quantiles carry the sketch's rank-error
+  // bound; sample count, outlier probability and stddev stay exact.
+  std::vector<std::optional<KllSketch>> pooled(static_cast<size_t>(k));
+  std::vector<RunningStats> pooled_moments(static_cast<size_t>(k));
+  std::vector<int64_t> pooled_outliers(static_cast<size_t>(k), 0);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const size_t c = static_cast<size_t>(model.assignments[g]);
+    if (!pooled[c].has_value()) {
+      pooled[c].emplace(*KllSketch::Make(KllSketch::kDefaultK));
     }
-    for (int c = 0; c < k; ++c) {
-      Entry& e = entries[static_cast<size_t>(c)];
-      e.stats.num_groups = group_count[static_cast<size_t>(c)];
-      const std::optional<KllSketch>& sk = pooled[static_cast<size_t>(c)];
-      if (sk.has_value() && !sk->empty()) {
-        e.stats.num_samples = sk->n();
-        e.stats.outlier_probability =
-            static_cast<double>(pooled_outliers[static_cast<size_t>(c)]) /
-            static_cast<double>(sk->n());
-        e.stats.iqr = sk->Quantile(0.75) - sk->Quantile(0.25);
-        e.stats.p95 = sk->Quantile(0.95);
-        e.stats.stddev = pooled_moments[static_cast<size_t>(c)].stddev();
-      }
-    }
-  } else {
-    std::vector<std::vector<double>> pooled(static_cast<size_t>(k));
-    for (size_t g = 0; g < groups.size(); ++g) {
-      const size_t c = static_cast<size_t>(model.assignments[g]);
-      pooled[c].insert(pooled[c].end(), raw[g].begin(), raw[g].end());
-      group_count[c]++;
-    }
-    for (int c = 0; c < k; ++c) {
-      Entry& e = entries[static_cast<size_t>(c)];
-      std::vector<double>& samples = pooled[static_cast<size_t>(c)];
-      e.stats.num_samples = static_cast<int64_t>(samples.size());
-      e.stats.num_groups = group_count[static_cast<size_t>(c)];
-      if (!samples.empty()) {
-        int64_t outliers = 0;
-        for (double v : samples) outliers += (v >= outlier_at);
-        e.stats.outlier_probability =
-            static_cast<double>(outliers) /
-            static_cast<double>(samples.size());
-        std::sort(samples.begin(), samples.end());
-        e.stats.iqr = QuantileSorted(samples, 0.75) -
-                      QuantileSorted(samples, 0.25);
-        e.stats.p95 = QuantileSorted(samples, 0.95);
-        e.stats.stddev = StdDev(samples);
-      }
+    RVAR_RETURN_NOT_OK(pooled[c]->Merge(*sketches[g]));
+    pooled_moments[c].Merge(moments[g]);
+    pooled_outliers[c] += outlier_counts[g];
+    group_count[c]++;
+  }
+  for (int c = 0; c < k; ++c) {
+    Entry& e = entries[static_cast<size_t>(c)];
+    e.stats.num_groups = group_count[static_cast<size_t>(c)];
+    const std::optional<KllSketch>& sk = pooled[static_cast<size_t>(c)];
+    if (sk.has_value() && !sk->empty()) {
+      e.stats.num_samples = sk->n();
+      e.stats.outlier_probability =
+          static_cast<double>(pooled_outliers[static_cast<size_t>(c)]) /
+          static_cast<double>(sk->n());
+      e.stats.iqr = sk->Quantile(0.75) - sk->Quantile(0.25);
+      e.stats.p95 = sk->Quantile(0.95);
+      e.stats.stddev = pooled_moments[static_cast<size_t>(c)].stddev();
     }
   }
 

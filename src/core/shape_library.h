@@ -4,11 +4,12 @@
 // discovered by clustering the smoothed PMFs of high-support job groups in
 // the historic dataset (D1). Each shape carries the Table 2 statistics
 // (outlier probability, 25-75th gap, 95th percentile, stddev) of the
-// pooled normalized runtimes of its member groups. In the default sketch
-// mode the 25-75th gap and 95th percentile come from the members' merged
-// KLL sketches and carry the sketch's rank error; the sample count,
-// outlier probability and stddev stay exact. Clusters are relabeled in
-// increasing 25-75th-gap order, matching the paper's ranking.
+// pooled normalized runtimes of its member groups. Each group is
+// summarized by a KLL sketch (k = KllSketch::kDefaultK, DESIGN.md §15)
+// rather than its raw samples, so the 25-75th gap and 95th percentile come
+// from the members' merged sketches and carry the sketch's rank error; the
+// sample count, outlier probability and stddev stay exact. Clusters are
+// relabeled in increasing 25-75th-gap order, matching the paper's ranking.
 
 #ifndef RVAR_CORE_SHAPE_LIBRARY_H_
 #define RVAR_CORE_SHAPE_LIBRARY_H_
@@ -35,15 +36,6 @@ struct ShapeLibraryConfig {
   int min_support = 20;
   int num_clusters = 8;
   ml::KMeansConfig kmeans;  ///< k is overridden by num_clusters
-  /// Summarize per-group observations with a mergeable KLL quantile sketch
-  /// instead of retaining every raw sample (DESIGN.md §15). Bounds Build's
-  /// per-group state at ~2 KB; Table 2 quantiles then carry the sketch's
-  /// rank-error bound instead of being exact. `false` restores the dense
-  /// raw-sample path.
-  bool use_sketches = true;
-  /// Sketch accuracy knob (top-level capacity); larger = more accurate and
-  /// more memory. Must lie in [KllSketch::kMinK, KllSketch::kMaxK].
-  int sketch_k = 200;
 };
 
 /// \brief One Table 2 row.
@@ -90,7 +82,7 @@ class ShapeLibrary {
   const std::vector<double>& shape(int k) const;
 
   /// Pooled-sample statistics of cluster `k` (the Table 2 row); see the
-  /// file comment for which fields are exact in sketch mode.
+  /// file comment for which fields are exact.
   const ShapeStats& stats(int k) const;
 
   /// The global prior's argmax: the cluster holding the most pooled

@@ -41,40 +41,16 @@ Result<std::unique_ptr<ShapeService>> ShapeService::Make(
   if (library->num_clusters() < 1) {
     return Status::InvalidArgument("shape library holds no clusters");
   }
-  // Explicit option validation (mirrors OnlineShapeTracker::Make) so the
-  // error names the service option, not a tracker internals message.
-  if (!(options.decay > 0.0) || options.decay > 1.0) {
-    return Status::InvalidArgument(
-        StrCat("ShapeService options.decay must be in (0, 1], got ",
-               options.decay));
-  }
-  if (!(options.pmf_floor > 0.0)) {
-    return Status::InvalidArgument(
-        StrCat("ShapeService options.pmf_floor must be > 0, got ",
-               options.pmf_floor));
-  }
   if (options.num_shards < 1) {
     return Status::InvalidArgument(
         StrCat("ShapeService options.num_shards must be >= 1, got ",
                options.num_shards));
   }
-  if (options.sketch_k < KllSketch::kMinK ||
-      options.sketch_k > KllSketch::kMaxK) {
-    return Status::InvalidArgument(
-        StrCat("ShapeService options.sketch_k must be in [", KllSketch::kMinK,
-               ", ", KllSketch::kMaxK, "], got ", options.sketch_k));
-  }
   // Build the shared log theta table once; every per-group tracker (and
   // the Eq. 9 prior scorer) reference it instead of holding a copy, so
   // per-group creation inside Observe can never fail.
-  RVAR_ASSIGN_OR_RETURN(
-      std::shared_ptr<const ClusterLogPmf> table,
-      ClusterLogPmf::MakeShared(*library, options.pmf_floor));
-  RVAR_RETURN_NOT_OK(OnlineShapeTracker::Make(library, table, options.decay,
-                                              options.sketch_k)
-                         .status());
-  return std::unique_ptr<ShapeService>(
-      new ShapeService(library, options, std::move(table)));
+  return std::unique_ptr<ShapeService>(new ShapeService(
+      library, options, ClusterLogPmf::MakeShared(*library)));
 }
 
 size_t ShapeService::ShardIndexFor(int group_id) const {
@@ -117,9 +93,7 @@ Status ShapeService::Observe(int group_id, double normalized_runtime) {
   if (it == shard.groups.end()) {
     it = shard.groups
              .emplace(group_id,
-                      GroupEntry{*OnlineShapeTracker::Make(
-                          library_, log_pmf_, options_.decay,
-                          options_.sketch_k)})
+                      GroupEntry{*OnlineShapeTracker::Make(library_, log_pmf_)})
              .first;
   }
   GroupEntry& entry = it->second;
@@ -127,28 +101,6 @@ Status ShapeService::Observe(int group_id, double normalized_runtime) {
   entry.prior_shape = -1;  // the next PriorShape rescores the sketch
   ++shard.total_observations;
   return Status::OK();
-}
-
-std::vector<double> ShapeService::Posterior(int group_id) const {
-  obs::ScopedLatencyTimer timer(query_latency_);
-  const size_t shard_index = ShardIndexFor(group_id);
-  Shard& shard = shards_[shard_index];
-  std::unique_lock<std::mutex> lock = LockShard(shard_index);
-  const auto it = shard.groups.find(group_id);
-  if (it == shard.groups.end()) {
-    const size_t k = static_cast<size_t>(library_->num_clusters());
-    return std::vector<double>(k, 1.0 / static_cast<double>(k));
-  }
-  return it->second.tracker.Posterior();
-}
-
-int ShapeService::MostLikely(int group_id) const {
-  const size_t shard_index = ShardIndexFor(group_id);
-  Shard& shard = shards_[shard_index];
-  std::unique_lock<std::mutex> lock = LockShard(shard_index);
-  const auto it = shard.groups.find(group_id);
-  return it == shard.groups.end() ? library_->GlobalPriorShape()
-                                  : it->second.tracker.MostLikely();
 }
 
 int ShapeService::PriorShape(int group_id) const {
@@ -163,9 +115,9 @@ int ShapeService::PriorShape(int group_id) const {
   GroupEntry& entry = it->second;
   if (entry.prior_shape < 0) {
     // Equation 9 over the reconstructed counts: argmax_c sum_h n_h log
-    // theta_h^c. With decay 1 and an exact-mode sketch this recovers the
-    // tracker's running-sum argmax — the counts are the same tallies the
-    // tracker accumulated one observation at a time.
+    // theta_h^c. With an exact-mode sketch (n < k) the counts are the
+    // same tallies the tracker's running sums accumulated one observation
+    // at a time.
     // Reused per thread: allocating the buffer on every miss showed up
     // in perfbench's core.drift_query_p99_us.
     thread_local std::vector<double> counts;
@@ -329,10 +281,8 @@ Status ShapeService::RestoreState(const std::vector<GroupState>& states) {
       return Status::InvalidArgument(
           StrCat("restored group_id must be >= 0, got ", state.group_id));
     }
-    RVAR_ASSIGN_OR_RETURN(
-        OnlineShapeTracker tracker,
-        OnlineShapeTracker::Make(library_, log_pmf_, options_.decay,
-                                 options_.sketch_k));
+    RVAR_ASSIGN_OR_RETURN(OnlineShapeTracker tracker,
+                          OnlineShapeTracker::Make(library_, log_pmf_));
     RVAR_RETURN_NOT_OK(tracker.RestoreState(state));
     restored.emplace_back(state.group_id, GroupEntry{std::move(tracker)});
   }

@@ -2,7 +2,9 @@
 //
 // Thread-safe serving facade over per-group OnlineShapeTracker state
 // (DESIGN.md §13). Each group's tracker is its whole state: the running
-// Eq. 3 sums and the KLL sketch the prior rung reconstructs its PMF from.
+// Eq. 3 sums behind the drift score (ProbabilityOf) and the KLL sketch the
+// prior rung's shape answer (PriorShape) is scored from. The floor and the
+// sketch k are the system constants kPmfFloor and KllSketch::kDefaultK.
 // The serving pipeline observes normalized runtimes for many job groups
 // from many client threads at once. State is partitioned into
 // share-nothing shards by a multiplicative hash of the group id:
@@ -40,31 +42,19 @@ namespace core {
 ///
 /// All methods are safe to call from any number of threads. Group state is
 /// created on first Observe; queries for never-observed groups give the
-/// same answers as a fresh tracker (a uniform posterior, and
+/// same answers as a fresh tracker (a drift score of 1/K, and
 /// ShapeLibrary::GlobalPriorShape() as the shape).
 class ShapeService {
  public:
   struct Options {
-    /// Per-observation decay on past log-likelihood mass (OnlineShapeTracker).
-    double decay = 1.0;
-    /// Probability floor before taking logs.
-    double pmf_floor = 1e-6;
     /// Share-nothing shards; more shards = less cross-group contention.
     /// Must be >= 1. Exported state and every query answer are identical
     /// at any shard count.
     int num_shards = 16;
-    /// Accuracy knob of the per-group quantile sketch (KllSketch top-level
-    /// capacity): larger = tighter rank error, more memory. Bounded state
-    /// per group is ~2 KB at the default. Must lie in [KllSketch::kMinK,
-    /// KllSketch::kMaxK]. Applies to groups created by Observe; restored
-    /// groups keep the k their snapshot carries (sketches are never
-    /// merged, so mixed k is safe).
-    int sketch_k = KllSketch::kDefaultK;
   };
 
-  /// \param library must outlive the service. Rejects decay outside
-  /// (0, 1], non-positive pmf_floor, and num_shards < 1 up front, so
-  /// per-group tracker creation inside Observe can never fail.
+  /// \param library must outlive the service and hold at least one
+  /// cluster. Rejects num_shards < 1.
   static Result<std::unique_ptr<ShapeService>> Make(const ShapeLibrary* library,
                                                     Options options);
   static Result<std::unique_ptr<ShapeService>> Make(
@@ -79,16 +69,10 @@ class ShapeService {
   /// shape_service_observe_rejected rather than clamped or dropped.
   Status Observe(int group_id, double normalized_runtime);
 
-  /// Posterior over shapes for the group; uniform for unknown groups.
-  std::vector<double> Posterior(int group_id) const;
-
-  /// The tracker's posterior mode (argmax of its running Eq. 3 sums);
-  /// ShapeLibrary::GlobalPriorShape() for unknown or empty groups.
-  int MostLikely(int group_id) const;
-
-  /// The serving prior rung's answer (serve/frontend.cc): the Eq. 9
-  /// posterior argmax over per-bin counts rebuilt from the group's
-  /// quantile sketch and scored against the shared log theta table;
+  /// The group's shape, the only shape answer the service gives (and the
+  /// serving prior rung's, serve/frontend.cc): the Eq. 9 posterior argmax
+  /// over per-bin counts rebuilt from the group's quantile sketch and
+  /// scored against the shared log theta table;
   /// ShapeLibrary::GlobalPriorShape() for unknown or empty groups. The
   /// answer is memoized on the group until its next Observe, so repeated
   /// queries between observations cost one map lookup.
@@ -100,8 +84,8 @@ class ShapeService {
   /// the same groups PriorShape answers from the global prior.
   bool ReconstructPmf(int group_id, std::vector<double>* pmf) const;
 
-  /// Drift score: posterior probability the group still follows `cluster`.
-  /// 1/K for unknown groups (uniform prior).
+  /// Drift score: posterior probability (uniform prior, over the running
+  /// Eq. 3 sums) that the group follows `cluster`. 1/K for unknown groups.
   double ProbabilityOf(int group_id, int cluster) const;
 
   /// Observations incorporated for the group (0 if unknown).
@@ -211,7 +195,7 @@ class ShapeService {
 
   // Metrics (obs/metrics.h): write-only, never consulted for results.
   obs::Histogram* observe_latency_;               ///< Observe() wall clock
-  obs::Histogram* query_latency_;                 ///< Posterior() wall clock
+  obs::Histogram* query_latency_;                 ///< PriorShape() wall clock
   obs::Counter* observe_total_;
   obs::Counter* observe_rejected_;  ///< negative ids / non-finite samples
   obs::Counter* model_swaps_total_;               ///< SwapModel() calls

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "common/parallel.h"
 #include "common/strings.h"
@@ -51,25 +52,29 @@ Result<ScenarioResult> WhatIfEngine::Run(
         local.transitions.assign(
             static_cast<size_t>(k),
             std::vector<int>(static_cast<size_t>(k), 0));
-        // One scratch per chunk: both re-predictions of every run in the
-        // chunk reuse the same projection/softmax buffers.
+        // One feature row and one scratch per chunk: every run in the
+        // chunk is featurized into the same row, and both re-predictions
+        // reuse the same projection/softmax buffers.
         PredictScratch scratch;
+        std::vector<double> features;
         for (size_t i = begin; i < end; ++i) {
-          Result<std::vector<double>> features =
-              featurizer.FeaturesFor(runs[i]);
-          if (!features.ok()) {
-            local.status = features.status();
+          // FeaturesInto fills FeatureNames().size() slots: resizing each
+          // run keeps it in bounds whatever the last transform left.
+          features.resize(featurizer.FeatureNames().size());
+          if (Status st = featurizer.FeaturesInto(runs[i], features.data());
+              !st.ok()) {
+            local.status = std::move(st);
             return local;
           }
           Result<int> before =
-              predictor_->PredictFromFeatures(*model, *features, &scratch);
+              predictor_->PredictFromFeatures(*model, features, &scratch);
           if (!before.ok()) {
             local.status = before.status();
             return local;
           }
-          transform(featurizer, &*features);
+          transform(featurizer, &features);
           Result<int> after =
-              predictor_->PredictFromFeatures(*model, *features, &scratch);
+              predictor_->PredictFromFeatures(*model, features, &scratch);
           if (!after.ok()) {
             local.status = after.status();
             return local;

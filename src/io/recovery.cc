@@ -98,13 +98,21 @@ Result<WalObservation> DecodeObservation(std::string_view payload) {
 /// Decoded serving-state snapshot plus its recovery metadata.
 struct DecodedState {
   ServingState state;
+  /// The log theta table the restored trackers share.
+  std::shared_ptr<const core::ClusterLogPmf> log_pmf;
   uint64_t watermark = 0;
   uint64_t next_wal_segment = 0;
 };
 
+/// The decay the serving-state header records. The trackers' sums never
+/// decay, so the header holds 1.0 (and the floor core::kPmfFloor): fields
+/// kept so every persisted byte matches images written while both were
+/// settable. A header holding any other value is refused.
+constexpr double kHeaderDecay = 1.0;
+
 // Serving-state snapshot layout (PayloadKind::kServingState):
-//   record 0: watermark seq, next WAL segment id, tracker decay/floor,
-//             tracker count
+//   record 0: watermark seq, next WAL segment id, decay (kHeaderDecay),
+//             floor (core::kPmfFloor), tracker count
 //   record 1: the full shape-library snapshot image, nested verbatim
 //   record 2..: one per-group record each (serialize.h EncodeGroupRecord,
 //               the same record the kShapeServiceState image holds)
@@ -118,8 +126,8 @@ Result<DecodedState> DecodeServingState(std::string bytes) {
                " records, layout needs at least 2"));
   }
   DecodedState decoded;
-  double decay = 1.0;
-  double pmf_floor = 1e-6;
+  double decay = 0.0;
+  double pmf_floor = 0.0;
   uint64_t num_trackers = 0;
   {
     RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(0));
@@ -132,6 +140,12 @@ Result<DecodedState> DecodeServingState(std::string bytes) {
     if (!r.AtEnd()) {
       return Status::InvalidArgument("serving-state header has trailing bytes");
     }
+  }
+  if (decay != kHeaderDecay || pmf_floor != core::kPmfFloor) {
+    return Status::InvalidArgument(
+        StrCat("serving-state header holds decay ", decay, " and floor ",
+               pmf_floor, "; only ", kHeaderDecay, " and ", core::kPmfFloor,
+               " restore"));
   }
   if (reader.num_records() != num_trackers + 2) {
     return Status::InvalidArgument(
@@ -147,18 +161,15 @@ Result<DecodedState> DecodeServingState(std::string bytes) {
   }
   // One log theta table shared by every restored tracker (the same
   // sharing ShapeService uses; per-tracker copies would cost ~13 KB each).
-  RVAR_ASSIGN_OR_RETURN(
-      std::shared_ptr<const core::ClusterLogPmf> log_pmf,
-      core::ClusterLogPmf::MakeShared(*decoded.state.library, pmf_floor));
+  decoded.log_pmf = core::ClusterLogPmf::MakeShared(*decoded.state.library);
   for (uint64_t i = 0; i < num_trackers; ++i) {
     RVAR_ASSIGN_OR_RETURN(std::string_view rec,
                           reader.Record(static_cast<size_t>(i) + 2));
     RVAR_ASSIGN_OR_RETURN(core::GroupState group, DecodeGroupRecord(rec));
     const int gid = group.group_id;
-    RVAR_ASSIGN_OR_RETURN(
-        core::OnlineShapeTracker tracker,
-        core::OnlineShapeTracker::Make(decoded.state.library.get(), log_pmf,
-                                       decay));
+    RVAR_ASSIGN_OR_RETURN(core::OnlineShapeTracker tracker,
+                          core::OnlineShapeTracker::Make(
+                              decoded.state.library.get(), decoded.log_pmf));
     RVAR_RETURN_NOT_OK(tracker.RestoreState(std::move(group)));
     if (!decoded.state.trackers.emplace(gid, std::move(tracker)).second) {
       return Status::InvalidArgument(
@@ -217,15 +228,6 @@ Result<RecoveryManager> RecoveryManager::Open(const std::string& dir,
   if (options.keep_snapshots < 1) {
     return Status::InvalidArgument("keep_snapshots must be >= 1");
   }
-  if (!(options.decay > 0.0) || options.decay > 1.0) {
-    return Status::InvalidArgument("decay must be in (0, 1]");
-  }
-  if (options.sketch_k < KllSketch::kMinK ||
-      options.sketch_k > KllSketch::kMaxK) {
-    return Status::InvalidArgument(
-        StrCat("options.sketch_k must lie in [", KllSketch::kMinK, ", ",
-               KllSketch::kMaxK, "], got ", options.sketch_k));
-  }
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
@@ -282,8 +284,7 @@ Status RecoveryManager::Bootstrap(core::ShapeLibrary library) {
   }
   state_.library = std::make_unique<core::ShapeLibrary>(std::move(library));
   state_.trackers.clear();
-  RVAR_ASSIGN_OR_RETURN(log_pmf_, core::ClusterLogPmf::MakeShared(
-                                      *state_.library, options_.pmf_floor));
+  log_pmf_ = core::ClusterLogPmf::MakeShared(*state_.library);
   last_seq_ = 0;
   live_ = true;
   const Status checkpoint = Checkpoint();
@@ -329,10 +330,7 @@ Result<RecoveryReport> RecoveryManager::Recover() {
                      [&](int64_t g) { return g > loaded_gen; }),
       snapshot_generations_.end());
   state_ = std::move(decoded.state);
-  // Restored trackers keep the decay, floor and sketch k their snapshot
-  // carries; groups created from here on use the options.
-  RVAR_ASSIGN_OR_RETURN(log_pmf_, core::ClusterLogPmf::MakeShared(
-                                      *state_.library, options_.pmf_floor));
+  log_pmf_ = std::move(decoded.log_pmf);
   latest_generation_ = loaded_gen;
   first_segment_after_[loaded_gen] = decoded.next_wal_segment;
   report.snapshot_generation = loaded_gen;
@@ -423,8 +421,7 @@ Status RecoveryManager::ApplyObservation(int group_id, double value) {
   if (it == state_.trackers.end()) {
     RVAR_ASSIGN_OR_RETURN(
         core::OnlineShapeTracker tracker,
-        core::OnlineShapeTracker::Make(state_.library.get(), log_pmf_,
-                                       options_.decay, options_.sketch_k));
+        core::OnlineShapeTracker::Make(state_.library.get(), log_pmf_));
     it = state_.trackers.emplace(group_id, std::move(tracker)).first;
   }
   it->second.Observe(value);
@@ -456,8 +453,8 @@ Status RecoveryManager::WriteSnapshot(int64_t generation,
     BinaryWriter w;
     w.PutU64(last_seq_);
     w.PutU64(next_wal_segment);
-    w.PutDouble(options_.decay);
-    w.PutDouble(options_.pmf_floor);
+    w.PutDouble(kHeaderDecay);
+    w.PutDouble(core::kPmfFloor);
     w.PutU64(state_.trackers.size());
     snap.AddRecord(w.bytes());
   }

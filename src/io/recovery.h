@@ -3,7 +3,10 @@
 // Crash-safe persistence for the serving state (DESIGN.md §7): the shape
 // library plus the per-group online trackers that accumulate streaming
 // observations (each tracker is the group's whole state: running sums and
-// KLL sketch, core/online.h). Observations are appended to a checksummed
+// KLL sketch, core/online.h, at the system's one floor and sketch k; the
+// snapshot header still records decay 1.0 and the floor, and Recover()
+// treats a generation whose header holds other values as corrupt).
+// Observations are appended to a checksummed
 // WAL as they arrive; Checkpoint() writes a versioned snapshot generation
 // atomically and rotates the WAL; Recover() rebuilds the state after a
 // crash by loading the newest intact snapshot generation and replaying
@@ -28,7 +31,6 @@
 #include "core/shape_library.h"
 #include "io/snapshot.h"
 #include "io/wal.h"
-#include "stats/kll_sketch.h"
 
 namespace rvar {
 namespace io {
@@ -87,14 +89,6 @@ struct ServingState {
 class RecoveryManager {
  public:
   struct Options {
-    /// Tracker decay, floor and sketch k for groups first seen via
-    /// Observe. Restored groups keep the values their snapshot carries,
-    /// so a directory written under one setting recovers intact under
-    /// another (sketches are never merged, so mixed k is safe); only new
-    /// groups pick up a changed setting.
-    double decay = 1.0;
-    double pmf_floor = 1e-6;
-    int sketch_k = KllSketch::kDefaultK;
     /// Snapshot generations retained after a checkpoint (>= 1). Older
     /// generations and the WAL segments they would replay are pruned.
     int keep_snapshots = 2;
@@ -153,14 +147,13 @@ class RecoveryManager {
   Status RotateWal();
   void Prune();
   /// Applies one observation to the group's tracker, creating it on first
-  /// sight with the manager's decay/floor options.
+  /// sight.
   Status ApplyObservation(int group_id, double value);
 
   std::string dir_;
   Options options_;
   ServingState state_;
-  /// Log theta table shared by every group created after Bootstrap() or
-  /// Recover() (built from options_.pmf_floor).
+  /// Log theta table shared by every tracker of the live state.
   std::shared_ptr<const core::ClusterLogPmf> log_pmf_;
   bool live_ = false;
 

@@ -100,8 +100,8 @@ TEST(OnlineTrackerErrorTest, MakeRejectsNullLibrary) {
   EXPECT_TRUE(tracker.status().IsInvalidArgument());
 }
 
-TEST(OnlineTrackerErrorTest, MakeRejectsBadDecayAndFloor) {
-  // Build a minimal real library to isolate the parameter checks.
+TEST(OnlineTrackerErrorTest, FreshTrackerAndAssignerErrorPaths) {
+  // Build a minimal real library to isolate the error paths.
   sim::TelemetryStore store;
   for (int g = 0; g < 2; ++g) {
     for (int64_t i = 0; i < 30; ++i) {
@@ -120,23 +120,15 @@ TEST(OnlineTrackerErrorTest, MakeRejectsBadDecayAndFloor) {
   auto library = core::ShapeLibrary::Build(store, medians, sc);
   ASSERT_TRUE(library.ok()) << library.status().ToString();
 
-  EXPECT_TRUE(core::OnlineShapeTracker::Make(&*library, 0.0)
+  EXPECT_TRUE(core::OnlineShapeTracker::Make(&*library, nullptr)
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(core::OnlineShapeTracker::Make(&*library, 1.5)
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(core::OnlineShapeTracker::Make(&*library, 0.9, 0.0)
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(core::OnlineShapeTracker::Make(&*library, 0.9, -1.0)
-                  .status()
-                  .IsInvalidArgument());
-  // And the happy path still works on the same library.
-  auto tracker = core::OnlineShapeTracker::Make(&*library, 0.9);
+  // And the happy path works on the same library.
+  auto tracker = core::OnlineShapeTracker::Make(&*library);
   ASSERT_TRUE(tracker.ok());
-  // No observations yet: the global prior's shape, never a -1 sentinel.
-  EXPECT_EQ(tracker->MostLikely(), library->GlobalPriorShape());
+  // No observations yet: a uniform drift score over real clusters.
+  EXPECT_EQ(tracker->ProbabilityOf(0), 0.5);
+  EXPECT_EQ(tracker->ProbabilityOf(1), 0.5);
 
   // Assigner error paths on the same library.
   core::PosteriorAssigner assigner(&*library);

@@ -158,38 +158,33 @@ TEST_F(DistributionTest, MakeRejectsBadArguments) {
   EXPECT_FALSE(RuntimeDistribution::Make(*library_, 0, 0.0).ok());
 }
 
+// The cluster the tracker's running Eq. 3 sums rank first (lowest index
+// on ties).
+int ArgmaxOfSums(const OnlineShapeTracker& tracker) {
+  const std::vector<double> sums = tracker.ExportState(0).log_likelihood;
+  return static_cast<int>(std::max_element(sums.begin(), sums.end()) -
+                          sums.begin());
+}
+
 TEST_F(DistributionTest, OnlineTrackerConvergesToTrueShape) {
   auto tracker = OnlineShapeTracker::Make(library_);
   ASSERT_TRUE(tracker.ok());
-  EXPECT_EQ(tracker->MostLikely(), library_->GlobalPriorShape());
+  const double uniform = 1.0 / library_->num_clusters();
+  for (int c = 0; c < library_->num_clusters(); ++c) {
+    EXPECT_EQ(tracker->ProbabilityOf(c), uniform);
+  }
   Rng rng(11);
   for (int i = 0; i < 50; ++i) {
     tracker->Observe(rng.Bernoulli(0.4) ? rng.Normal(3.0, 0.1)
                                         : rng.Normal(1.0, 0.05));
   }
-  EXPECT_EQ(tracker->MostLikely(), bimodal_);
+  EXPECT_EQ(ArgmaxOfSums(*tracker), bimodal_);
   EXPECT_GT(tracker->ProbabilityOf(bimodal_), 0.95);
   EXPECT_EQ(tracker->count(), 50);
 }
 
-TEST_F(DistributionTest, OnlineTrackerWithDecayFollowsDrift) {
-  auto tracker = OnlineShapeTracker::Make(library_, 0.9);
-  ASSERT_TRUE(tracker.ok());
-  Rng rng(12);
-  // First behave tight, then drift to bimodal.
-  for (int i = 0; i < 60; ++i) {
-    tracker->Observe(std::max(0.2, rng.Normal(1.0, 0.04)));
-  }
-  EXPECT_EQ(tracker->MostLikely(), tight_);
-  for (int i = 0; i < 60; ++i) {
-    tracker->Observe(rng.Bernoulli(0.4) ? rng.Normal(3.0, 0.1)
-                                        : rng.Normal(1.0, 0.05));
-  }
-  EXPECT_EQ(tracker->MostLikely(), bimodal_);
-}
-
 TEST_F(DistributionTest, OnlineTrackerMatchesBatchAssignerWithoutDecay) {
-  auto tracker = OnlineShapeTracker::Make(library_, 1.0);
+  auto tracker = OnlineShapeTracker::Make(library_);
   ASSERT_TRUE(tracker.ok());
   PosteriorAssigner assigner(library_);
   Rng rng(13);
@@ -201,32 +196,37 @@ TEST_F(DistributionTest, OnlineTrackerMatchesBatchAssignerWithoutDecay) {
   }
   auto batch = assigner.Assign(obs);
   ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(tracker->MostLikely(), *batch);
+  EXPECT_EQ(ArgmaxOfSums(*tracker), *batch);
   // Log-likelihood sums agree with the batch computation.
   auto lls = assigner.LogLikelihoods(obs);
   ASSERT_TRUE(lls.ok());
+  const std::vector<double> sums = tracker->ExportState(0).log_likelihood;
   for (size_t c = 0; c < lls->size(); ++c) {
-    EXPECT_NEAR(tracker->log_likelihood()[c], (*lls)[c].log_likelihood,
-                1e-9);
+    EXPECT_NEAR(sums[c], (*lls)[c].log_likelihood, 1e-9);
   }
 }
 
+// Restoring a fresh tracker's state empties a used one: no count, zero
+// sums, an empty sketch and a uniform drift score.
 TEST_F(DistributionTest, OnlineTrackerResets) {
   auto tracker = OnlineShapeTracker::Make(library_);
+  auto fresh = OnlineShapeTracker::Make(library_);
   ASSERT_TRUE(tracker.ok());
+  ASSERT_TRUE(fresh.ok());
   tracker->Observe(1.0);
-  tracker->Reset();
+  ASSERT_TRUE(tracker->RestoreState(fresh->ExportState(0)).ok());
   EXPECT_EQ(tracker->count(), 0);
-  EXPECT_EQ(tracker->MostLikely(), library_->GlobalPriorShape());
-  const auto p = tracker->Posterior();
-  for (double v : p) EXPECT_NEAR(v, 1.0 / p.size(), 1e-12);
+  EXPECT_EQ(tracker->sketch().n(), 0);
+  for (double v : tracker->ExportState(0).log_likelihood) EXPECT_EQ(v, 0.0);
+  for (int c = 0; c < library_->num_clusters(); ++c) {
+    EXPECT_NEAR(tracker->ProbabilityOf(c), 1.0 / library_->num_clusters(),
+                1e-12);
+  }
 }
 
 TEST_F(DistributionTest, TrackerMakeRejectsBadArgs) {
   EXPECT_FALSE(OnlineShapeTracker::Make(nullptr).ok());
-  EXPECT_FALSE(OnlineShapeTracker::Make(library_, 0.0).ok());
-  EXPECT_FALSE(OnlineShapeTracker::Make(library_, 1.5).ok());
-  EXPECT_FALSE(OnlineShapeTracker::Make(library_, 1.0, 0.0).ok());
+  EXPECT_FALSE(OnlineShapeTracker::Make(library_, nullptr).ok());
 }
 
 }  // namespace

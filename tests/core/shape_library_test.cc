@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <unordered_map>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "core/assigner.h"
+#include "stats/descriptive.h"
 #include "stats/distance.h"
 #include "stats/kll_sketch.h"
 
@@ -258,30 +262,117 @@ TEST(PosteriorAssignerTest, EmptyObservationsRejected) {
   EXPECT_TRUE(assigner.Assign({}).status().IsInvalidArgument());
 }
 
-// The sketch-vs-dense equivalence property (ISSUE 10 acceptance): the same
-// reference store built with bounded per-group sketches and with dense
-// per-group buffers must produce the same reference assignments and
+// The dense raw-sample build, kept as the oracle for ShapeLibrary::Build:
+// every finite normalized runtime of each qualifying group is retained,
+// the group PMFs are clustered with the same k-means config, Table 2 stats
+// are computed exactly from the pooled samples, and clusters are relabeled
+// in increasing 25-75th-gap order, as Build does.
+struct DenseReference {
+  std::vector<std::vector<double>> shapes;
+  std::vector<ShapeStats> stats;
+  std::unordered_map<int, int> assignment;
+};
+
+DenseReference BuildDenseReference(const SyntheticReference& ref,
+                                   const ShapeLibrary& lib) {
+  const ShapeLibraryConfig& config = lib.config();
+  std::vector<std::vector<double>> raw;
+  std::vector<std::vector<double>> pmfs;
+  std::vector<int> groups;
+  for (int gid : ref.store.GroupsWithSupport(config.min_support)) {
+    Result<std::vector<double>> normalized = NormalizedGroupRuntimes(
+        ref.store, gid, ref.medians, config.normalization);
+    if (!normalized.ok()) continue;
+    std::vector<double> finite;
+    for (double x : *normalized) {
+      if (std::isfinite(x)) finite.push_back(x);
+    }
+    if (static_cast<int>(finite.size()) < config.min_support) continue;
+    pmfs.push_back(lib.ObservationPmf(finite));
+    raw.push_back(std::move(finite));
+    groups.push_back(gid);
+  }
+  ml::KMeansConfig kconfig = config.kmeans;
+  kconfig.k = config.num_clusters;
+  Result<ml::KMeansModel> model = ml::KMeans(pmfs, kconfig);
+  RVAR_CHECK(model.ok()) << model.status().ToString();
+
+  const size_t k = static_cast<size_t>(config.num_clusters);
+  const double outlier_at = OutlierThreshold(config.normalization);
+  std::vector<std::vector<double>> pooled(k);
+  std::vector<ShapeStats> stats(k);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const size_t c = static_cast<size_t>(model->assignments[g]);
+    pooled[c].insert(pooled[c].end(), raw[g].begin(), raw[g].end());
+    stats[c].num_groups++;
+  }
+  for (size_t c = 0; c < k; ++c) {
+    std::vector<double>& samples = pooled[c];
+    stats[c].num_samples = static_cast<int64_t>(samples.size());
+    if (samples.empty()) continue;
+    int64_t outliers = 0;
+    for (double v : samples) outliers += (v >= outlier_at);
+    stats[c].outlier_probability = static_cast<double>(outliers) /
+                                   static_cast<double>(samples.size());
+    std::sort(samples.begin(), samples.end());
+    stats[c].iqr =
+        QuantileSorted(samples, 0.75) - QuantileSorted(samples, 0.25);
+    stats[c].p95 = QuantileSorted(samples, 0.95);
+    stats[c].stddev = StdDev(samples);
+  }
+
+  std::vector<size_t> order(k);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return stats[a].iqr < stats[b].iqr;
+  });
+  std::vector<int> relabel(k);
+  for (size_t new_id = 0; new_id < k; ++new_id) {
+    relabel[order[new_id]] = static_cast<int>(new_id);
+  }
+  DenseReference dense;
+  dense.shapes.resize(k);
+  dense.stats.resize(k);
+  for (size_t c = 0; c < k; ++c) {
+    std::vector<double> shape = model->centroids[c];
+    const double mass = std::accumulate(shape.begin(), shape.end(), 0.0);
+    if (mass > 0.0) {
+      for (double& v : shape) v /= mass;
+    }
+    const size_t id = static_cast<size_t>(relabel[c]);
+    dense.shapes[id] = std::move(shape);
+    dense.stats[id] = stats[c];
+  }
+  for (size_t g = 0; g < groups.size(); ++g) {
+    dense.assignment[groups[g]] =
+        relabel[static_cast<size_t>(model->assignments[g])];
+  }
+  return dense;
+}
+
+int DenseAssignment(const DenseReference& dense, int gid) {
+  const auto it = dense.assignment.find(gid);
+  return it == dense.assignment.end() ? -1 : it->second;
+}
+
+// The sketch-vs-dense equivalence property: the same reference store
+// built with bounded per-group sketches and with dense per-group buffers
+// (the oracle above) must produce the same reference assignments and
 // centroids/stats within the KLL rank-error tolerance. While groups stay
 // under k observations the sketch is exact, so the match is bit-level up
 // to double→float value rounding.
 TEST(ShapeLibraryTest, SketchBuildMatchesDenseBuildExactModeGroups) {
   SyntheticReference ref = MakeReference(12, 60, 21);  // 60 < k: exact
-  ShapeLibraryConfig dense_config = SmallConfig();
-  dense_config.use_sketches = false;
-  ShapeLibraryConfig sketch_config = SmallConfig();
-  sketch_config.use_sketches = true;
-  auto dense = ShapeLibrary::Build(ref.store, ref.medians, dense_config);
-  auto sketch = ShapeLibrary::Build(ref.store, ref.medians, sketch_config);
-  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+  auto sketch = ShapeLibrary::Build(ref.store, ref.medians, SmallConfig());
   ASSERT_TRUE(sketch.ok()) << sketch.status().ToString();
-  ASSERT_EQ(dense->num_clusters(), sketch->num_clusters());
+  const DenseReference dense = BuildDenseReference(ref, *sketch);
+  ASSERT_EQ(static_cast<int>(dense.shapes.size()), sketch->num_clusters());
   for (int gid : ref.store.GroupIds()) {
-    EXPECT_EQ(dense->ReferenceAssignment(gid),
-              sketch->ReferenceAssignment(gid))
+    EXPECT_EQ(DenseAssignment(dense, gid), sketch->ReferenceAssignment(gid))
         << "group " << gid;
   }
-  for (int c = 0; c < dense->num_clusters(); ++c) {
-    const auto& dp = dense->shape(c);
+  for (int c = 0; c < sketch->num_clusters(); ++c) {
+    const auto& dp = dense.shapes[static_cast<size_t>(c)];
     const auto& sp = sketch->shape(c);
     ASSERT_EQ(dp.size(), sp.size());
     double l1 = 0.0;
@@ -289,60 +380,41 @@ TEST(ShapeLibraryTest, SketchBuildMatchesDenseBuildExactModeGroups) {
     // Exact mode: the only divergence is double→float rounding of raw
     // values near bin edges.
     EXPECT_LT(l1, 1e-3) << "cluster " << c;
-    EXPECT_EQ(dense->stats(c).num_samples, sketch->stats(c).num_samples);
-    EXPECT_EQ(dense->stats(c).num_groups, sketch->stats(c).num_groups);
-    EXPECT_NEAR(dense->stats(c).iqr, sketch->stats(c).iqr, 0.05);
-    EXPECT_NEAR(dense->stats(c).p95, sketch->stats(c).p95, 0.05);
-    EXPECT_NEAR(dense->stats(c).outlier_probability,
-                sketch->stats(c).outlier_probability, 1e-9);
+    const ShapeStats& ds = dense.stats[static_cast<size_t>(c)];
+    EXPECT_EQ(ds.num_samples, sketch->stats(c).num_samples);
+    EXPECT_EQ(ds.num_groups, sketch->stats(c).num_groups);
+    EXPECT_NEAR(ds.iqr, sketch->stats(c).iqr, 0.05);
+    EXPECT_NEAR(ds.p95, sketch->stats(c).p95, 0.05);
+    EXPECT_NEAR(ds.outlier_probability, sketch->stats(c).outlier_probability,
+                1e-9);
   }
 }
 
 // Beyond k observations per group the sketch compacts; assignments and
-// Ratio metrics must stay within the KLL tolerance of the dense build.
+// Ratio metrics must stay within the KLL tolerance of the dense oracle.
 TEST(ShapeLibraryTest, SketchBuildMatchesDenseBuildBeyondExactMode) {
   SyntheticReference ref = MakeReference(6, 1500, 22);  // 1500 >> k = 200
-  ShapeLibraryConfig dense_config = SmallConfig();
-  dense_config.use_sketches = false;
-  ShapeLibraryConfig sketch_config = SmallConfig();
-  sketch_config.use_sketches = true;
-  auto dense = ShapeLibrary::Build(ref.store, ref.medians, dense_config);
-  auto sketch = ShapeLibrary::Build(ref.store, ref.medians, sketch_config);
-  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+  auto sketch = ShapeLibrary::Build(ref.store, ref.medians, SmallConfig());
   ASSERT_TRUE(sketch.ok()) << sketch.status().ToString();
+  const DenseReference dense = BuildDenseReference(ref, *sketch);
   for (int gid : ref.store.GroupIds()) {
-    EXPECT_EQ(dense->ReferenceAssignment(gid),
-              sketch->ReferenceAssignment(gid))
+    EXPECT_EQ(DenseAssignment(dense, gid), sketch->ReferenceAssignment(gid))
         << "group " << gid;
   }
-  const double eps =
-      KllSketch::NormalizedRankErrorBound(sketch_config.sketch_k);
-  for (int c = 0; c < dense->num_clusters(); ++c) {
+  const double eps = KllSketch::NormalizedRankErrorBound(KllSketch::kDefaultK);
+  for (int c = 0; c < sketch->num_clusters(); ++c) {
+    const ShapeStats& ds = dense.stats[static_cast<size_t>(c)];
     // A quantile off by ε in rank moves by at most ε·n worth of mass;
     // on these distributions that is well under 4·ε in value.
-    EXPECT_NEAR(dense->stats(c).iqr, sketch->stats(c).iqr, 4.0 * eps * 4.0);
-    EXPECT_NEAR(dense->stats(c).p95, sketch->stats(c).p95, 4.0 * eps * 4.0);
-    EXPECT_EQ(dense->stats(c).num_samples, sketch->stats(c).num_samples);
+    EXPECT_NEAR(ds.iqr, sketch->stats(c).iqr, 4.0 * eps * 4.0);
+    EXPECT_NEAR(ds.p95, sketch->stats(c).p95, 4.0 * eps * 4.0);
+    EXPECT_EQ(ds.num_samples, sketch->stats(c).num_samples);
     // Outlier probability and moments are tracked exactly alongside the
     // sketch, not reconstructed from it.
-    EXPECT_NEAR(dense->stats(c).outlier_probability,
-                sketch->stats(c).outlier_probability, 1e-12);
-    EXPECT_NEAR(dense->stats(c).stddev, sketch->stats(c).stddev, 1e-9);
+    EXPECT_NEAR(ds.outlier_probability, sketch->stats(c).outlier_probability,
+                1e-12);
+    EXPECT_NEAR(ds.stddev, sketch->stats(c).stddev, 1e-9);
   }
-}
-
-TEST(ShapeLibraryTest, SketchConfigValidation) {
-  SyntheticReference ref = MakeReference(5, 30, 23);
-  ShapeLibraryConfig config = SmallConfig();
-  config.use_sketches = true;
-  config.sketch_k = KllSketch::kMinK - 1;
-  EXPECT_TRUE(ShapeLibrary::Build(ref.store, ref.medians, config)
-                  .status()
-                  .IsInvalidArgument());
-  config.sketch_k = KllSketch::kMaxK + 1;
-  EXPECT_TRUE(ShapeLibrary::Build(ref.store, ref.medians, config)
-                  .status()
-                  .IsInvalidArgument());
 }
 
 // ObservationPmfInto is the allocation-free spine of ObservationPmf: same

@@ -30,6 +30,31 @@ namespace rvar {
 namespace core {
 namespace {
 
+// The group's running Eq. 3 sums as the service exports them; empty for
+// an unknown group.
+std::vector<double> SumsOf(const ShapeService& service, int gid) {
+  for (const GroupState& state : service.ExportState()) {
+    if (state.group_id == gid) return state.log_likelihood;
+  }
+  return {};
+}
+
+// The cluster the group's sums rank first (lowest index on ties).
+int ArgmaxOfSums(const ShapeService& service, int gid) {
+  const std::vector<double> sums = SumsOf(service, gid);
+  return static_cast<int>(std::max_element(sums.begin(), sums.end()) -
+                          sums.begin());
+}
+
+// The group's drift score for every cluster.
+std::vector<double> DriftScores(const ShapeService& service, int gid) {
+  std::vector<double> p;
+  for (int c = 0; c < service.library().num_clusters(); ++c) {
+    p.push_back(service.ProbabilityOf(gid, c));
+  }
+  return p;
+}
+
 // Library with two clearly distinct Ratio shapes: tight around 1 and
 // bimodal {1, 3}.
 class ShapeServiceTest : public ::testing::Test {
@@ -92,28 +117,8 @@ ShapeLibrary* ShapeServiceTest::library_ = nullptr;
 TEST_F(ShapeServiceTest, MakeRejectsBadArguments) {
   EXPECT_FALSE(ShapeService::Make(nullptr).ok());
 
-  // Each rejected option names itself in the message, so misconfiguration
+  // The rejected option names itself in the message, so misconfiguration
   // reads as "which knob", not a tracker internals error.
-  for (double decay : {0.0, -0.5, 1.5,
-                       std::numeric_limits<double>::quiet_NaN()}) {
-    ShapeService::Options bad;
-    bad.decay = decay;
-    auto service = ShapeService::Make(library_, bad);
-    ASSERT_FALSE(service.ok()) << "decay=" << decay;
-    EXPECT_NE(service.status().message().find("options.decay"),
-              std::string::npos)
-        << service.status().ToString();
-  }
-  for (double floor : {0.0, -1.0,
-                       std::numeric_limits<double>::quiet_NaN()}) {
-    ShapeService::Options bad;
-    bad.pmf_floor = floor;
-    auto service = ShapeService::Make(library_, bad);
-    ASSERT_FALSE(service.ok()) << "pmf_floor=" << floor;
-    EXPECT_NE(service.status().message().find("options.pmf_floor"),
-              std::string::npos)
-        << service.status().ToString();
-  }
   for (int shards : {0, -4}) {
     ShapeService::Options bad;
     bad.num_shards = shards;
@@ -178,7 +183,7 @@ TEST_F(ShapeServiceTest, NegativeGroupIdsAreRejectedCountedAndRestorable) {
   ASSERT_TRUE(restored.ok());
   ASSERT_TRUE((*restored)->RestoreState(states).ok());
   EXPECT_EQ((*restored)->GroupCount(11), 1);
-  EXPECT_EQ((*restored)->Posterior(11), (*service)->Posterior(11));
+  EXPECT_EQ(DriftScores(**restored, 11), DriftScores(**service, 11));
 }
 
 TEST_F(ShapeServiceTest, GlobalPriorShapeIsAValidCluster) {
@@ -192,8 +197,7 @@ TEST_F(ShapeServiceTest, GlobalPriorShapeIsAValidCluster) {
     EXPECT_LE(library_->stats(k).num_samples,
               library_->stats(prior).num_samples);
   }
-  // It is the one fallback: both shape answers give it for unknown groups.
-  EXPECT_EQ((*service)->MostLikely(123), prior);
+  // It is the one fallback: the shape answer for unknown groups.
   EXPECT_EQ((*service)->PriorShape(123), prior);
 }
 
@@ -201,14 +205,13 @@ TEST_F(ShapeServiceTest, UnknownGroupsAnswerFromUniformPrior) {
   auto service = ShapeService::Make(library_);
   ASSERT_TRUE(service.ok());
   const int k = library_->num_clusters();
-  EXPECT_EQ((*service)->MostLikely(123), library_->GlobalPriorShape());
+  EXPECT_EQ((*service)->PriorShape(123), library_->GlobalPriorShape());
   EXPECT_EQ((*service)->GroupCount(123), 0);
   EXPECT_EQ((*service)->NumGroups(), 0u);
   EXPECT_EQ((*service)->TotalObservations(), 0);
-  const std::vector<double> p = (*service)->Posterior(123);
+  const std::vector<double> p = DriftScores(**service, 123);
   ASSERT_EQ(static_cast<int>(p.size()), k);
   for (double v : p) EXPECT_DOUBLE_EQ(v, 1.0 / k);
-  EXPECT_DOUBLE_EQ((*service)->ProbabilityOf(123, 0), 1.0 / k);
 }
 
 TEST_F(ShapeServiceTest, ObserveRoutesToPerGroupTrackers) {
@@ -225,13 +228,13 @@ TEST_F(ShapeServiceTest, ObserveRoutesToPerGroupTrackers) {
   EXPECT_EQ((*service)->TrackedGroups(), (std::vector<int>{3, 10, 17}));
   EXPECT_EQ((*service)->GroupCount(10), 40);
   // Odd groups stream bimodal, even groups tight; they must disagree.
-  EXPECT_NE((*service)->MostLikely(3), (*service)->MostLikely(10));
-  EXPECT_EQ((*service)->MostLikely(3), (*service)->MostLikely(17));
+  EXPECT_NE((*service)->PriorShape(3), (*service)->PriorShape(10));
+  EXPECT_EQ((*service)->PriorShape(3), (*service)->PriorShape(17));
 
   EXPECT_TRUE((*service)->Forget(10));
   EXPECT_FALSE((*service)->Forget(10));
   EXPECT_EQ((*service)->NumGroups(), 2u);
-  EXPECT_EQ((*service)->MostLikely(10), library_->GlobalPriorShape());
+  EXPECT_EQ((*service)->PriorShape(10), library_->GlobalPriorShape());
 }
 
 TEST_F(ShapeServiceTest, ConcurrentDisjointGroupsMatchSerialReplay) {
@@ -239,7 +242,6 @@ TEST_F(ShapeServiceTest, ConcurrentDisjointGroupsMatchSerialReplay) {
   constexpr int kGroups = 64;
   constexpr int kObsPerGroup = 30;
   ShapeService::Options options;
-  options.decay = 0.95;
   options.num_shards = 4;  // force shard sharing across groups
   auto service = ShapeService::Make(library_, options);
   ASSERT_TRUE(service.ok());
@@ -261,18 +263,17 @@ TEST_F(ShapeServiceTest, ConcurrentDisjointGroupsMatchSerialReplay) {
             static_cast<int64_t>(kGroups) * kObsPerGroup);
 
   // One thread owned each group, so per-group observation order equals the
-  // serial replay's and the posteriors must match bit for bit.
+  // serial replay's and the sums and drift scores must match bit for bit.
   for (int gid = 0; gid < kGroups; ++gid) {
-    auto reference =
-        OnlineShapeTracker::Make(library_, options.decay, options.pmf_floor);
+    auto reference = OnlineShapeTracker::Make(library_);
     ASSERT_TRUE(reference.ok());
     for (double x : StreamFor(gid, kObsPerGroup)) reference->Observe(x);
-    EXPECT_EQ((*service)->MostLikely(gid), reference->MostLikely());
-    const std::vector<double> got = (*service)->Posterior(gid);
-    const std::vector<double> want = reference->Posterior();
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t c = 0; c < got.size(); ++c) {
-      EXPECT_EQ(got[c], want[c]) << "group " << gid << " cluster " << c;
+    EXPECT_EQ(SumsOf(**service, gid),
+              reference->ExportState(gid).log_likelihood)
+        << "group " << gid;
+    for (int c = 0; c < library_->num_clusters(); ++c) {
+      EXPECT_EQ((*service)->ProbabilityOf(gid, c), reference->ProbabilityOf(c))
+          << "group " << gid << " cluster " << c;
     }
   }
 }
@@ -293,7 +294,7 @@ TEST_F(ShapeServiceTest, ContendedGroupCountsEveryObservation) {
                                             : rng.Normal(1.0, 0.05);
         ASSERT_TRUE((*service)->Observe(kGroup, x).ok());
         // Interleave reads with the writes to stress the shard lock.
-        if (i % 100 == 0) (*service)->Posterior(kGroup);
+        if (i % 100 == 0) (*service)->ProbabilityOf(kGroup, 0);
       }
     });
   }
@@ -305,8 +306,8 @@ TEST_F(ShapeServiceTest, ContendedGroupCountsEveryObservation) {
             static_cast<int64_t>(kThreads) * kObsPerThread);
   EXPECT_EQ((*service)->NumGroups(), 1u);
   // Every thread streamed bimodal data; the merged posterior must too.
-  const std::vector<double> p = (*service)->Posterior(kGroup);
-  const int best = (*service)->MostLikely(kGroup);
+  const std::vector<double> p = DriftScores(**service, kGroup);
+  const int best = ArgmaxOfSums(**service, kGroup);
   ASSERT_GE(best, 0);
   EXPECT_GT(p[static_cast<size_t>(best)], 0.9);
   double mass = 0.0;
@@ -318,9 +319,7 @@ TEST_F(ShapeServiceTest, ContendedGroupCountsEveryObservation) {
 }
 
 TEST_F(ShapeServiceTest, StateRoundTripsThroughExportRestore) {
-  ShapeService::Options options;
-  options.decay = 0.9;
-  auto service = ShapeService::Make(library_, options);
+  auto service = ShapeService::Make(library_);
   ASSERT_TRUE(service.ok());
   for (int gid : {1, 4, 9}) {
     for (double x : StreamFor(gid, 25)) {
@@ -332,25 +331,36 @@ TEST_F(ShapeServiceTest, StateRoundTripsThroughExportRestore) {
       (*service)->ExportState();
   ASSERT_EQ(states.size(), 3u);
 
-  auto restored = ShapeService::Make(library_, options);
+  auto restored = ShapeService::Make(library_);
   ASSERT_TRUE(restored.ok());
   ASSERT_TRUE((*restored)->RestoreState(states).ok());
   EXPECT_EQ((*restored)->NumGroups(), 3u);
   for (int gid : {1, 4, 9}) {
     EXPECT_EQ((*restored)->GroupCount(gid), 25);
-    EXPECT_EQ((*restored)->MostLikely(gid), (*service)->MostLikely(gid));
-    EXPECT_EQ((*restored)->Posterior(gid), (*service)->Posterior(gid));
+    EXPECT_EQ(SumsOf(**restored, gid), SumsOf(**service, gid));
+    EXPECT_EQ((*restored)->PriorShape(gid), (*service)->PriorShape(gid));
+    EXPECT_EQ(DriftScores(**restored, gid), DriftScores(**service, gid));
   }
 
   // Restore is all-or-nothing: a malformed state leaves the target as-is.
   std::vector<GroupState> bad = states;
   bad[1].group_id = -3;
-  auto target = ShapeService::Make(library_, options);
+  auto target = ShapeService::Make(library_);
   ASSERT_TRUE(target.ok());
   ASSERT_TRUE((*target)->Observe(2, 1.0).ok());
   EXPECT_FALSE((*target)->RestoreState(bad).ok());
   EXPECT_EQ((*target)->NumGroups(), 1u);
   EXPECT_EQ((*target)->GroupCount(2), 1);
+  // Sums Observe cannot produce are refused the same way: each is a sum
+  // of floored log-probabilities, finite and <= 0.
+  for (double sum : {std::numeric_limits<double>::quiet_NaN(), 0.5,
+                     -std::numeric_limits<double>::infinity()}) {
+    bad = states;
+    bad[1].log_likelihood[0] = sum;
+    EXPECT_FALSE((*target)->RestoreState(bad).ok()) << "sum " << sum;
+    EXPECT_EQ((*target)->NumGroups(), 1u);
+    EXPECT_EQ((*target)->GroupCount(2), 1);
+  }
 }
 
 // The serving prior rung (ISSUE 10): PriorShape answers from the group's
@@ -366,14 +376,14 @@ TEST_F(ShapeServiceTest, PriorShapeScoresReconstructedPmf) {
       ASSERT_TRUE((*service)->Observe(gid, x).ok());
     }
   }
-  // With decay 1 (no forgetting), the Eq. 9 argmax over the reconstructed
-  // counts agrees with the tracker's running argmax: same tallies, same
-  // table, different summation order.
+  // Below k the Eq. 9 argmax over the reconstructed counts agrees with
+  // the argmax of the tracker's running sums: same tallies, same table,
+  // different summation order.
   for (int gid : {0, 1, 6, 7}) {
     const int prior = (*service)->PriorShape(gid);
     EXPECT_GE(prior, 0);
     EXPECT_LT(prior, library_->num_clusters());
-    EXPECT_EQ(prior, (*service)->MostLikely(gid)) << "group " << gid;
+    EXPECT_EQ(prior, ArgmaxOfSums(**service, gid)) << "group " << gid;
   }
 }
 
@@ -462,8 +472,8 @@ TEST_F(ShapeServiceTest, PriorShapeMemoNeverChangesAnswers) {
 }
 
 // A restored record with no observations (count 0, empty sketch) is the
-// same group as one never observed: the global prior's shape from both
-// shape queries, and no reconstructed PMF.
+// same group as one never observed: the global prior's shape, a uniform
+// drift score, and no reconstructed PMF.
 TEST_F(ShapeServiceTest, RestoredEmptyGroupAnswersLikeAnUnknownOne) {
   auto service = ShapeService::Make(library_);
   ASSERT_TRUE(service.ok());
@@ -475,7 +485,9 @@ TEST_F(ShapeServiceTest, RestoredEmptyGroupAnswersLikeAnUnknownOne) {
   EXPECT_EQ((*service)->NumGroups(), 1u);
   EXPECT_EQ((*service)->GroupCount(9), 0);
   EXPECT_EQ((*service)->PriorShape(9), library_->GlobalPriorShape());
-  EXPECT_EQ((*service)->MostLikely(9), library_->GlobalPriorShape());
+  for (double v : DriftScores(**service, 9)) {
+    EXPECT_EQ(v, 1.0 / library_->num_clusters());
+  }
   std::vector<double> pmf = {1.0};
   EXPECT_FALSE((*service)->ReconstructPmf(9, &pmf));
   EXPECT_TRUE(pmf.empty());
@@ -484,8 +496,7 @@ TEST_F(ShapeServiceTest, RestoredEmptyGroupAnswersLikeAnUnknownOne) {
 // Restore checks each group's sketch against its tracker: a sample count
 // that disagrees with the tracker's is refused whole. A sketch written
 // under another k restores as it is: restored groups keep the k their
-// snapshot carries, and options.sketch_k applies only to groups created
-// later.
+// record carries, and groups created later use KllSketch::kDefaultK.
 TEST_F(ShapeServiceTest, RestoreValidatesSketches) {
   auto service = ShapeService::Make(library_);
   ASSERT_TRUE(service.ok());
@@ -509,39 +520,32 @@ TEST_F(ShapeServiceTest, RestoreValidatesSketches) {
   ASSERT_TRUE((*target)->RestoreState(states).ok());
   EXPECT_EQ((*target)->PriorShape(5), (*service)->PriorShape(5));
 
-  // Right n, other k: a service running the smallest k exports states
-  // that the default-k target restores intact.
-  ShapeService::Options small_k;
-  small_k.sketch_k = KllSketch::kMinK;
-  auto source = ShapeService::Make(library_, small_k);
-  ASSERT_TRUE(source.ok());
-  for (double x : StreamFor(5, 20)) {
-    ASSERT_TRUE((*source)->Observe(5, x).ok());
-  }
-  const std::vector<GroupState> small_states = (*source)->ExportState();
-  ASSERT_EQ(small_states[0].sketch.k(), KllSketch::kMinK);
+  // Right n, other k: the same stream summarized by a smallest-k sketch
+  // (built here by hand; 20 observations make it compact) restores
+  // intact, and both answers come from that sketch.
+  KllSketch small = *KllSketch::Make(KllSketch::kMinK);
+  for (double x : StreamFor(5, 20)) small.UpdateClamped(library_->grid(), x);
+  std::vector<GroupState> small_states = states;
+  small_states[0].sketch = small;
   ASSERT_TRUE((*target)->RestoreState(small_states).ok());
   EXPECT_EQ((*target)->ExportState()[0].sketch.k(), KllSketch::kMinK);
-  EXPECT_EQ((*target)->PriorShape(5), (*source)->PriorShape(5));
-  std::vector<double> pmf_source, pmf_target;
-  ASSERT_TRUE((*source)->ReconstructPmf(5, &pmf_source));
+  std::vector<double> counts;
+  small.BinCountsInto(library_->grid(), &counts);
+  const ClusterLogPmf table = ClusterLogPmf::Make(*library_);
+  int want_prior = 0;
+  for (int c = 1; c < table.num_clusters(); ++c) {
+    if (table.Dot(c, counts) > table.Dot(want_prior, counts)) want_prior = c;
+  }
+  EXPECT_EQ((*target)->PriorShape(5), want_prior);
+  std::vector<double> want_pmf = counts;
+  ShapeLibrary::FinishObservationPmfInPlace(
+      &want_pmf, library_->config().smoothing_radius);
+  std::vector<double> pmf_target;
   ASSERT_TRUE((*target)->ReconstructPmf(5, &pmf_target));
-  EXPECT_EQ(pmf_target, pmf_source);
+  EXPECT_EQ(pmf_target, want_pmf);
   // A group created after the restore uses the target's own k.
   ASSERT_TRUE((*target)->Observe(6, 1.0).ok());
   EXPECT_EQ((*target)->ExportState()[1].sketch.k(), KllSketch::kDefaultK);
-}
-
-TEST_F(ShapeServiceTest, MakeRejectsBadSketchOptions) {
-  for (int k : {0, KllSketch::kMinK - 1, KllSketch::kMaxK + 1}) {
-    ShapeService::Options bad;
-    bad.sketch_k = k;
-    auto service = ShapeService::Make(library_, bad);
-    ASSERT_FALSE(service.ok()) << "sketch_k=" << k;
-    EXPECT_NE(service.status().message().find("options.sketch_k"),
-              std::string::npos)
-        << service.status().ToString();
-  }
 }
 
 // Satellite stress for the lifecycle hot swap: one writer flips the model

@@ -80,7 +80,6 @@ class ShapeShardDeterminismTest : public ::testing::Test {
                                                     int obs_per_group,
                                                     int threads) {
     ShapeService::Options options;
-    options.decay = 0.95;
     options.num_shards = num_shards;
     auto service = ShapeService::Make(library_, options);
     EXPECT_TRUE(service.ok());
@@ -126,11 +125,13 @@ TEST_F(ShapeShardDeterminismTest, ExportBytesIdenticalAcrossShardCounts) {
   EXPECT_EQ(four->NumGroups(), one->NumGroups());
   EXPECT_EQ(sixteen->TrackedGroups(), one->TrackedGroups());
   for (int gid = 0; gid < kGroups + 4; ++gid) {  // includes unknown groups
-    EXPECT_EQ(four->MostLikely(gid), one->MostLikely(gid)) << gid;
-    EXPECT_EQ(sixteen->MostLikely(gid), one->MostLikely(gid)) << gid;
     EXPECT_EQ(four->GroupCount(gid), one->GroupCount(gid)) << gid;
-    EXPECT_EQ(sixteen->Posterior(gid), one->Posterior(gid)) << gid;
-    EXPECT_EQ(four->Posterior(gid), one->Posterior(gid)) << gid;
+    for (int c = 0; c < library_->num_clusters(); ++c) {
+      EXPECT_EQ(sixteen->ProbabilityOf(gid, c), one->ProbabilityOf(gid, c))
+          << gid;
+      EXPECT_EQ(four->ProbabilityOf(gid, c), one->ProbabilityOf(gid, c))
+          << gid;
+    }
     EXPECT_EQ(four->PriorShape(gid), one->PriorShape(gid)) << gid;
     EXPECT_EQ(sixteen->PriorShape(gid), one->PriorShape(gid)) << gid;
   }
@@ -152,7 +153,6 @@ TEST_F(ShapeShardDeterminismTest, KillAndRestoreAcrossShardCounts) {
   const std::string image = io::EncodeShapeServiceState(*origin);
   for (int shards : {1, 4}) {
     ShapeService::Options options;
-    options.decay = 0.95;
     options.num_shards = shards;
     auto revived = ShapeService::Make(library_, options);
     ASSERT_TRUE(revived.ok());
@@ -164,8 +164,12 @@ TEST_F(ShapeShardDeterminismTest, KillAndRestoreAcrossShardCounts) {
         << shards << "-shard revival re-export diverged";
     EXPECT_EQ((*revived)->TotalObservations(), origin->TotalObservations());
     for (int gid = 0; gid < kGroups; ++gid) {
-      EXPECT_EQ((*revived)->Posterior(gid), origin->Posterior(gid)) << gid;
-      EXPECT_EQ((*revived)->MostLikely(gid), origin->MostLikely(gid)) << gid;
+      for (int c = 0; c < library_->num_clusters(); ++c) {
+        EXPECT_EQ((*revived)->ProbabilityOf(gid, c),
+                  origin->ProbabilityOf(gid, c))
+            << gid;
+      }
+      EXPECT_EQ((*revived)->PriorShape(gid), origin->PriorShape(gid)) << gid;
     }
   }
 

@@ -100,9 +100,9 @@ void ExpectStatesBitIdentical(const ServingState& reference,
     EXPECT_EQ(it->second.num_clamped(), tracker.num_clamped());
     // Exact double equality: replay must reproduce the arithmetic, not
     // approximate it.
-    EXPECT_EQ(it->second.log_likelihood(), tracker.log_likelihood())
+    EXPECT_EQ(it->second.ExportState(gid).log_likelihood,
+              tracker.ExportState(gid).log_likelihood)
         << "group " << gid;
-    EXPECT_EQ(it->second.MostLikely(), tracker.MostLikely());
     // The per-group quantile sketch must survive the crash bit-for-bit
     // too: identical wire encodings, not merely close quantiles.
     EXPECT_EQ(EncodeKllSketch(it->second.sketch()),
@@ -357,6 +357,76 @@ TEST_F(RecoveryChaosTest, AllSnapshotsCorruptIsAnErrorNotACrash) {
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kIOError)
       << report.status().ToString();
+}
+
+// The serving-state header records decay 1.0 and the floor
+// core::kPmfFloor, the only values the trackers use. A generation whose
+// header holds another value, re-framed with valid checksums so that value
+// is its only fault, is refused as corrupt and the previous generation
+// restores (its WAL tail replays to the same live state). The unpatched
+// re-frame restores the newest generation, so the re-framing itself is
+// sound.
+TEST_F(RecoveryChaosTest, SnapshotHeaderWithOtherDecayOrFloorIsCorrupt) {
+  enum class Patch { kNone, kDecay, kFloor };
+  for (Patch patch : {Patch::kNone, Patch::kDecay, Patch::kFloor}) {
+    const std::string dir =
+        root_ + "/header" + std::to_string(static_cast<int>(patch));
+    auto manager = RecoveryManager::Open(dir);
+    ASSERT_TRUE(manager.ok());
+    ASSERT_TRUE(manager->Bootstrap(MakeLibrary(13)).ok());
+    for (const Observation& obs : MakeStream(40, 14)) {
+      ASSERT_TRUE(manager->Observe(obs.group_id, obs.value).ok());
+    }
+    ASSERT_TRUE(manager->Checkpoint().ok());
+    ASSERT_EQ(manager->generation(), 2);
+
+    const std::string snap = manager->SnapshotPath(2);
+    auto bytes = ReadFileToString(snap);
+    ASSERT_TRUE(bytes.ok());
+    auto reader =
+        SnapshotReader::Open(*std::move(bytes), PayloadKind::kServingState);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    SnapshotWriter reframed(PayloadKind::kServingState);
+    {
+      auto header = reader->Record(0);
+      ASSERT_TRUE(header.ok());
+      BinaryReader r(*header);
+      const uint64_t watermark = *r.ReadU64();
+      const uint64_t next_segment = *r.ReadU64();
+      double decay = *r.ReadDouble();
+      double floor = *r.ReadDouble();
+      const uint64_t num_trackers = *r.ReadU64();
+      ASSERT_TRUE(r.AtEnd());
+      EXPECT_EQ(decay, 1.0);
+      EXPECT_EQ(floor, core::kPmfFloor);
+      if (patch == Patch::kDecay) decay = 0.95;
+      if (patch == Patch::kFloor) floor = 1e-5;
+      BinaryWriter w;
+      w.PutU64(watermark);
+      w.PutU64(next_segment);
+      w.PutDouble(decay);
+      w.PutDouble(floor);
+      w.PutU64(num_trackers);
+      reframed.AddRecord(w.bytes());
+    }
+    for (size_t i = 1; i < reader->num_records(); ++i) {
+      auto record = reader->Record(i);
+      ASSERT_TRUE(record.ok());
+      reframed.AddRecord(*record);
+    }
+    ASSERT_TRUE(AtomicWriteFile(snap, reframed.Finish()).ok());
+
+    auto revived = RecoveryManager::Open(dir);
+    ASSERT_TRUE(revived.ok());
+    auto report = revived->Recover();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const bool refused = patch != Patch::kNone;
+    EXPECT_EQ(report->snapshot_generation, refused ? 1 : 2);
+    EXPECT_EQ(report->Count(RecoveryReason::kSnapshotCorrupt),
+              refused ? 1 : 0);
+    EXPECT_EQ(report->num_snapshots_discarded, refused ? 1 : 0);
+    ExpectStatesBitIdentical(manager->state(), revived->state());
+  }
 }
 
 TEST_F(RecoveryChaosTest, EmptyDirectoryRecoverIsNotFound) {

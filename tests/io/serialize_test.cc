@@ -196,8 +196,11 @@ TEST(SerializeShapeServiceTest, StateRoundTripsBitIdentically) {
   ASSERT_TRUE((*restored)->RestoreState(*states).ok());
   for (int gid : {0, 3, 5, 11}) {
     EXPECT_EQ((*restored)->GroupCount(gid), (*service)->GroupCount(gid));
-    EXPECT_EQ((*restored)->Posterior(gid), (*service)->Posterior(gid));
-    EXPECT_EQ((*restored)->MostLikely(gid), (*service)->MostLikely(gid));
+    for (int c = 0; c < library.num_clusters(); ++c) {
+      EXPECT_EQ((*restored)->ProbabilityOf(gid, c),
+                (*service)->ProbabilityOf(gid, c));
+    }
+    EXPECT_EQ((*restored)->PriorShape(gid), (*service)->PriorShape(gid));
   }
   // Canonical encoding: the restored service re-encodes to the same
   // bytes, so recovery equivalence holds transitively.

@@ -107,7 +107,11 @@ PipelineArtifacts RunPipeline() {
   }
   for (std::thread& t : threads) t.join();
   for (int g = 0; g < 12; ++g) {
-    artifacts.posteriors.push_back((*service)->Posterior(g));
+    std::vector<double> p;
+    for (int c = 0; c < (*service)->library().num_clusters(); ++c) {
+      p.push_back((*service)->ProbabilityOf(g, c));
+    }
+    artifacts.posteriors.push_back(std::move(p));
   }
   return artifacts;
 }

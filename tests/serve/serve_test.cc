@@ -347,7 +347,7 @@ TEST_F(FrontendTest, PriorRungAnswersUnknownGroupsWithGlobalPrior) {
   sim::JobRun unknown = SomeRun();
   unknown.group_id = 999999;
   const int global_prior = service->library().GlobalPriorShape();
-  ASSERT_EQ(service->MostLikely(unknown.group_id), global_prior);
+  ASSERT_EQ(service->PriorShape(unknown.group_id), global_prior);
   const PredictResponse response = (*frontend)->Predict(
       unknown, Priority::kStandard, std::chrono::seconds(10));
   ASSERT_TRUE(response.served());
