@@ -26,6 +26,7 @@
 #include "io/serialize.h"
 #include "io/snapshot.h"
 #include "io/wal.h"
+#include "ml/feature_select.h"
 #include "ml/gbdt.h"
 #include "ml/kmeans.h"
 #include "ml/shap.h"
@@ -514,6 +515,14 @@ void WriteBenchKernelsJson() {
   ml::GbdtClassifier predict_model({.num_rounds = 30});
   benchmark::DoNotOptimize(predict_model.Fit(predict_data).ok());
 
+  // The per-feature prep ahead of every GBDT fit, at the shape of the
+  // benchmark's feature-selection probe (14,878 D2 rows x 47 features).
+  const ml::Dataset prep_data = MakeTabular(14878, 47, 3, 39);
+  std::vector<double> prep_importance(prep_data.NumFeatures());
+  for (size_t f = 0; f < prep_importance.size(); ++f) {
+    prep_importance[f] = static_cast<double>((f * 17) % 47);
+  }
+
   const core::ShapeLibrary library = MakeServingLibrary();
   core::PosteriorAssigner assigner(&library);
   const auto assign_obs = RandomValues(30, 36);
@@ -611,6 +620,15 @@ void WriteBenchKernelsJson() {
            auto decoded = io::DecodeShapeLibrary(image);
            benchmark::DoNotOptimize(decoded.ok());
          }
+       }},
+      {"train_prepare",
+       [&] {
+         auto binner = ml::FeatureBinner::Fit(prep_data, 255);
+         auto cols = binner->BinColumns(prep_data);
+         benchmark::DoNotOptimize(cols.data());
+         auto selection = ml::SelectUncorrelatedFeatures(
+             prep_data, prep_importance, 0.98);
+         benchmark::DoNotOptimize(selection.ok());
        }},
   };
 

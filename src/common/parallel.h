@@ -18,6 +18,7 @@
 #ifndef RVAR_COMMON_PARALLEL_H_
 #define RVAR_COMMON_PARALLEL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <utility>
@@ -49,6 +50,18 @@ std::vector<std::pair<size_t, size_t>> ChunkRanges(size_t n, size_t grain);
 void RunChunks(size_t num_chunks, const std::function<void(size_t)>& body);
 
 }  // namespace internal
+
+/// Grain for `n` items of equal cost that together cost `total_work`
+/// units: one chunk, run inline, while the total is below
+/// `min_chunk_work`; otherwise chunks of at least that much work each.
+/// A pooled chunk pays a wake-up and a claim under the pool mutex, so a
+/// chunk must carry well more work than that (DESIGN.md §8). Depends
+/// only on its arguments, never on the thread count.
+inline size_t GrainForWork(size_t n, size_t total_work,
+                           size_t min_chunk_work) {
+  const size_t chunks = std::min(n, total_work / min_chunk_work);
+  return chunks <= 1 ? n : (n + chunks - 1) / chunks;
+}
 
 /// Runs body(begin, end) over deterministic chunks covering [0, n). Each
 /// index is visited exactly once; chunks may run concurrently, so bodies

@@ -87,9 +87,12 @@ Result<std::unique_ptr<VariationPredictor>> VariationPredictor::Train(
   // taken from D1.
   predictor->featurizer_ = std::make_unique<Featurizer>(
       &predictor->groups_, &predictor->catalog_);
-  predictor->featurizer_->SetHistory(suite.d1.telemetry);
-  for (int gid : suite.d1.telemetry.GroupIds()) {
-    predictor->history_support_[gid] = suite.d1.telemetry.Support(gid);
+  {
+    obs::ScopedSpan phase("predictor/set_history");
+    predictor->featurizer_->SetHistory(suite.d1.telemetry);
+    for (int gid : suite.d1.telemetry.GroupIds()) {
+      predictor->history_support_[gid] = suite.d1.telemetry.Support(gid);
+    }
   }
   RVAR_ASSIGN_OR_RETURN(ml::Dataset train, [&] {
     obs::ScopedSpan phase("predictor/featurize");
@@ -112,7 +115,11 @@ Result<std::unique_ptr<VariationPredictor>> VariationPredictor::Train(
     ml::GbdtConfig probe_config = config.gbdt;
     probe_config.num_rounds = std::min(config.gbdt.num_rounds, 15);
     ml::GbdtClassifier probe(probe_config);
-    RVAR_RETURN_NOT_OK(probe.Fit(train));
+    {
+      obs::ScopedSpan phase("predictor/probe_fit");
+      RVAR_RETURN_NOT_OK(probe.Fit(train));
+    }
+    obs::ScopedSpan phase("predictor/select_features");
     RVAR_ASSIGN_OR_RETURN(
         ml::FeatureSelection selection,
         ml::SelectUncorrelatedFeatures(train, probe.feature_importance(),

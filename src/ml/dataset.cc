@@ -4,11 +4,23 @@
 #include <cmath>
 #include <limits>
 
+#include "common/parallel.h"
 #include "common/strings.h"
 #include "ml/simd_kernels.h"
 
 namespace rvar {
 namespace ml {
+
+namespace {
+
+// Binner fit and BinColumns fan out over the pool once a pass covers at
+// least this many row x feature cells per chunk: a feature's sort over
+// 16k rows, or a few 128-row blocks of a wide set, is then a chunk worth
+// the dispatch, while small fits (such as 80-row windows) stay one
+// inline chunk.
+constexpr size_t kMinCellsPerChunk = 16384;
+
+}  // namespace
 
 int Dataset::NumClasses() const {
   int max_label = -1;
@@ -101,30 +113,37 @@ Result<FeatureBinner> FeatureBinner::Fit(const Dataset& d, int max_bins) {
     return Status::InvalidArgument("cannot fit binner on empty dataset");
   }
   FeatureBinner binner;
-  binner.edges_.resize(d.NumFeatures());
-  for (size_t f = 0; f < d.NumFeatures(); ++f) {
-    std::vector<double> col = d.Column(f);
-    std::sort(col.begin(), col.end());
-    col.erase(std::unique(col.begin(), col.end()), col.end());
-    std::vector<double>& edges = binner.edges_[f];
-    if (static_cast<int>(col.size()) <= max_bins) {
-      // One bin per distinct value; edges at midpoints.
-      for (size_t i = 0; i + 1 < col.size(); ++i) {
-        edges.push_back(0.5 * (col[i] + col[i + 1]));
-      }
-    } else {
-      // Quantile edges over distinct values.
-      for (int b = 1; b < max_bins; ++b) {
-        const double q =
-            static_cast<double>(b) / static_cast<double>(max_bins);
-        const size_t pos = std::min(
-            col.size() - 1,
-            static_cast<size_t>(q * static_cast<double>(col.size())));
-        const double e = col[pos];
-        if (edges.empty() || e > edges.back()) edges.push_back(e);
+  const size_t nf = d.NumFeatures();
+  binner.edges_.resize(nf);
+  // Each feature's sort, unique and edge pick reads only its own column
+  // and writes only edges_[f], so chunks of features run on the pool and
+  // the edges are the serial ones at any thread count.
+  ParallelFor(nf, GrainForWork(nf, d.NumRows() * nf, kMinCellsPerChunk),
+              [&](size_t fbegin, size_t fend) {
+    for (size_t f = fbegin; f < fend; ++f) {
+      std::vector<double> col = d.Column(f);
+      std::sort(col.begin(), col.end());
+      col.erase(std::unique(col.begin(), col.end()), col.end());
+      std::vector<double>& edges = binner.edges_[f];
+      if (static_cast<int>(col.size()) <= max_bins) {
+        // One bin per distinct value; edges at midpoints.
+        for (size_t i = 0; i + 1 < col.size(); ++i) {
+          edges.push_back(0.5 * (col[i] + col[i + 1]));
+        }
+      } else {
+        // Quantile edges over distinct values.
+        for (int b = 1; b < max_bins; ++b) {
+          const double q =
+              static_cast<double>(b) / static_cast<double>(max_bins);
+          const size_t pos = std::min(
+              col.size() - 1,
+              static_cast<size_t>(q * static_cast<double>(col.size())));
+          const double e = col[pos];
+          if (edges.empty() || e > edges.back()) edges.push_back(e);
+        }
       }
     }
-  }
+  });
   return binner;
 }
 
@@ -166,31 +185,39 @@ std::vector<std::vector<uint8_t>> FeatureBinner::BinColumns(
   // flight on AVX2. Any dispatch row computes the exact lower_bound
   // index (comparisons are exact predicates), so the SIMD level can
   // never change a bin. This is the training hot path: every
-  // row x feature is binned once per Fit.
+  // row x feature is binned once per Fit, so chunks of whole blocks run
+  // on the pool. Each chunk transposes into its own scratch and writes
+  // only its own rows of each column, so the bytes never depend on the
+  // thread count.
   const ml::SimdKernels& kern = ml::ActiveSimdKernels();
   constexpr size_t kRowBlock = 128;
-  std::vector<double> transposed(kRowBlock * nf);
-  for (size_t row0 = 0; row0 < rows; row0 += kRowBlock) {
-    const size_t bn = std::min(kRowBlock, rows - row0);
-    for (size_t i = 0; i < bn; ++i) {
-      const std::vector<double>& x = d.x[row0 + i];
+  const size_t blocks = (rows + kRowBlock - 1) / kRowBlock;
+  ParallelFor(blocks, GrainForWork(blocks, rows * nf, kMinCellsPerChunk),
+              [&](size_t bbegin, size_t bend) {
+    std::vector<double> transposed(kRowBlock * nf);
+    const size_t row_end = std::min(rows, bend * kRowBlock);
+    for (size_t row0 = bbegin * kRowBlock; row0 < row_end; row0 += kRowBlock) {
+      const size_t bn = std::min(kRowBlock, rows - row0);
+      for (size_t i = 0; i < bn; ++i) {
+        const std::vector<double>& x = d.x[row0 + i];
+        for (size_t f = 0; f < nf; ++f) {
+          transposed[f * kRowBlock + i] = x[f];
+        }
+      }
       for (size_t f = 0; f < nf; ++f) {
-        transposed[f * kRowBlock + i] = x[f];
+        const std::vector<double>& e = edges_[f];
+        if (e.empty()) {
+          std::fill(cols[f].begin() + static_cast<ptrdiff_t>(row0),
+                    cols[f].begin() + static_cast<ptrdiff_t>(row0 + bn),
+                    uint8_t{0});
+          continue;
+        }
+        kern.lower_bound_u8(e.data(), e.size(),
+                            transposed.data() + f * kRowBlock, bn,
+                            cols[f].data() + row0);
       }
     }
-    for (size_t f = 0; f < nf; ++f) {
-      const std::vector<double>& e = edges_[f];
-      if (e.empty()) {
-        std::fill(cols[f].begin() + static_cast<ptrdiff_t>(row0),
-                  cols[f].begin() + static_cast<ptrdiff_t>(row0 + bn),
-                  uint8_t{0});
-        continue;
-      }
-      kern.lower_bound_u8(e.data(), e.size(),
-                          transposed.data() + f * kRowBlock, bn,
-                          cols[f].data() + row0);
-    }
-  }
+  });
   return cols;
 }
 

@@ -338,18 +338,16 @@ class GbdtTreeBuilder {
   // inline chunk for small nodes, otherwise chunks sized so each covers at
   // least kMinRowsPerBuildChunk rows' worth of updates.
   size_t BuildGrain(size_t span_rows) const {
-    const size_t nf = data_.columns.size();
-    const size_t chunks = std::min(nf, span_rows / kMinRowsPerBuildChunk);
-    return chunks <= 1 ? nf : (nf + chunks - 1) / chunks;
+    return GrainForWork(data_.columns.size(), span_rows,
+                        kMinRowsPerBuildChunk);
   }
 
   // Feature grain for split scans, whose cost tracks the bin count, not
   // the node size; typical layouts (tens of features x 256 bins) are far
   // cheaper than a dispatch and run as one inline chunk.
   size_t ScanGrain() const {
-    const size_t nf = data_.columns.size();
-    const size_t chunks = std::min(nf, total_bins_ / kMinBinsPerScanChunk);
-    return chunks <= 1 ? nf : (nf + chunks - 1) / chunks;
+    return GrainForWork(data_.columns.size(), total_bins_,
+                        kMinBinsPerScanChunk);
   }
 
   // Accumulates the (grad, hess, count) histogram of idx_[begin, end) into

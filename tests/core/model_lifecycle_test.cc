@@ -16,6 +16,7 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "io/model_registry.h"
 #include "io/serialize.h"
 #include "ml/dataset.h"
@@ -248,7 +249,7 @@ TEST_F(ModelLifecycleTest, CandidateBytesIdenticalAtAnyThreadCount) {
   std::vector<std::string> images;
   for (int threads : {1, 8}) {
     SetParallelThreads(threads);
-    const std::string dir = temp_.File("t" + std::to_string(threads));
+    const std::string dir = temp_.File(StrCat("t", threads));
     std::filesystem::remove_all(dir);
     ModelLifecycleOptions options = Options();
     options.dir = dir;
@@ -272,7 +273,7 @@ TEST_F(ModelLifecycleTest, WarmStartedCandidateIdenticalAtAnyThreadCount) {
   std::vector<std::string> images;
   for (int threads : {1, 8}) {
     SetParallelThreads(threads);
-    const std::string dir = temp_.File("t" + std::to_string(threads));
+    const std::string dir = temp_.File(StrCat("t", threads));
     std::filesystem::remove_all(dir);
     ModelLifecycleOptions options = Options();
     options.dir = dir;

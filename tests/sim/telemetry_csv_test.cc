@@ -147,7 +147,7 @@ TEST(TelemetryCsvTest, InvalidValuesQuarantineInsteadOfFailing) {
   const size_t header_end = csv.find('\n');
   size_t cell = header_end;
   for (int i = 0; i < 3; ++i) cell = csv.find(',', cell + 1);
-  csv.insert(cell + 1, "-");
+  csv.insert(cell + 1, 1, '-');
   auto restored = TelemetryStore::FromCsv(csv, kSkus);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->NumRuns(), store.NumRuns() - 1);
