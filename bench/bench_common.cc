@@ -1,7 +1,13 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <set>
 
 #include "common/check.h"
 
@@ -85,6 +91,107 @@ std::string Sparkline(const std::vector<double>& pmf, int width) {
     out += kLevels[level];
   }
   return out;
+}
+
+double SecondsOf(const std::function<void()>& fn) {
+  const auto start = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+double BestSecondsOf(const std::function<void()>& fn) {
+  double best = SecondsOf(fn);
+  for (int rep = 0; rep < 2; ++rep) best = std::min(best, SecondsOf(fn));
+  return best;
+}
+
+namespace {
+
+// Best-of-3 wall clock of a fixed deterministic spin, measured on the first
+// call and reused for every file the process writes. check_regression.py
+// divides every kernel time by it, so a uniformly slower (or faster)
+// machine neither reads as a regression nor masks one.
+double CalibrationSeconds() {
+  static const double seconds = BestSecondsOf([] {
+    uint64_t h = 1469598103934665603ULL;
+    for (int i = 0; i < 20000000; ++i) {
+      h ^= static_cast<uint64_t>(i);
+      h *= 1099511628211ULL;
+    }
+    KeepAlive(h);
+  });
+  return seconds;
+}
+
+// Names and strings are code literals; refuse any that would need JSON
+// escaping rather than escape them.
+const char* JsonSafe(const std::string& s) {
+  RVAR_CHECK(s.find_first_of("\"\\") == std::string::npos) << s;
+  return s.c_str();
+}
+
+// A fresh directory under the system temp directory, removed with its
+// contents on destruction.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    std::string pattern =
+        (std::filesystem::temp_directory_path() / "rvar_bench_XXXXXX")
+            .string();
+    RVAR_CHECK(::mkdtemp(pattern.data()) != nullptr) << "mkdtemp " << pattern;
+    path_ = pattern;
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::filesystem::path& path() const { return path_; }
+
+ private:
+  std::filesystem::path path_;
+};
+
+}  // namespace
+
+void WriteBenchJson(const std::string& path, const BenchKernels& kernels,
+                    const BenchInfo& info) {
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  RVAR_CHECK(out != nullptr) << "cannot open " << path;
+  std::fprintf(out, "{\n  \"calibration_seconds\": %.6f,\n  \"kernels\": {",
+               CalibrationSeconds());
+  std::set<std::string> seen;
+  const char* sep = "\n";
+  for (const auto& [name, seconds] : kernels) {
+    RVAR_CHECK(seen.insert(name).second) << "kernel " << name << " repeated";
+    RVAR_CHECK(std::isfinite(seconds)) << name;
+    std::fprintf(out, "%s    \"%s\": %.6f", sep, JsonSafe(name), seconds);
+    sep = ",\n";
+  }
+  std::fprintf(out, "%s},\n  \"info\": {", kernels.empty() ? "" : "\n  ");
+  sep = "\n";
+  for (const auto& [name, value] : info) {
+    std::fprintf(out, "%s    \"%s\": ", sep, JsonSafe(name));
+    if (const double* number = std::get_if<double>(&value)) {
+      RVAR_CHECK(std::isfinite(*number)) << name;
+      std::fprintf(out, "%.10g", *number);
+    } else {
+      std::fprintf(out, "\"%s\"", JsonSafe(std::get<std::string>(value)));
+    }
+    sep = ",\n";
+  }
+  std::fprintf(out, "%s}\n}\n", info.empty() ? "" : "\n  ");
+  RVAR_CHECK(std::fclose(out) == 0) << "cannot write " << path;
+  std::printf("wrote %s\n", path.c_str());
+}
+
+std::string BenchTempPath(const std::string& name) {
+  static const ScratchDir dir;  // removed at process exit
+  return (dir.path() / name).string();
 }
 
 }  // namespace bench

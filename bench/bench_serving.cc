@@ -14,22 +14,20 @@
 //     admission controller sheds and that every future still resolves.
 //
 // The gated `kernels` map carries the two CPU-bound timings (batch predict
-// and the closed-loop drain) normalized by the same calibration spin the
-// other BENCH_*.json summaries use; the throughput/shedding numbers land
-// in an ungated top-level "serving" section (check_regression.py ignores
-// unknown top-level keys) because shed rate is a policy outcome, not a
+// and the closed-loop drain), written through bench_common like every
+// other BENCH_*.json summary; the throughput/shedding numbers land in the
+// ungated `info` map because shed rate is a policy outcome, not a
 // performance regression signal.
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <future>
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/predictor.h"
 #include "core/shape_service.h"
 #include "obs/metrics.h"
@@ -39,39 +37,8 @@
 namespace {
 
 using namespace rvar;
-
-// Keep-alive sink standing in for benchmark::DoNotOptimize (this binary
-// does not link google-benchmark).
-volatile uint64_t g_sink = 0;
-
-double SecondsOf(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-// Best-of-3 wall clock, same rationale as bench_perf_kernels.cc: the
-// minimum discards scheduler hiccups on shared CI runners.
-double BestSecondsOf(const std::function<void()>& fn) {
-  double best = SecondsOf(fn);
-  for (int rep = 0; rep < 2; ++rep) best = std::min(best, SecondsOf(fn));
-  return best;
-}
-
-// The identical deterministic spin bench_perf_kernels.cc uses, so the
-// normalized ratios in check_regression.py are comparable across files.
-double CalibrationSeconds() {
-  return BestSecondsOf([] {
-    uint64_t h = 1469598103934665603ULL;
-    for (int i = 0; i < 20000000; ++i) {
-      h ^= static_cast<uint64_t>(i);
-      h *= 1099511628211ULL;
-    }
-    g_sink = h;
-  });
-}
+using bench::BestSecondsOf;
+using bench::KeepAlive;
 
 struct SpikeStats {
   int64_t served = 0;
@@ -140,7 +107,7 @@ int main() {
           ->PredictShapeBatchInto(*model, batch, &shapes, &run_status);
       acc += static_cast<uint64_t>(shapes.empty() ? 0 : shapes[0] + 1);
     }
-    g_sink = acc;
+    KeepAlive(acc);
   });
 
   // --- Gated kernel 2 + QPS/latency: closed-loop through the front-end ---
@@ -179,7 +146,7 @@ int main() {
       });
     }
     for (std::thread& t : clients) t.join();
-    g_sink = acc.load();
+    KeepAlive(acc.load());
   });
   const double closed_loop_qps = kClosedTotal / closed_loop_s;
 
@@ -261,8 +228,8 @@ int main() {
   // The acceptance bar for the share-nothing refactor: concurrent writers
   // spraying observations across many groups must get strictly more
   // throughput once the tracker maps stop sharing a lock. Ungated (lands
-  // in the "serving" section) because the absolute numbers are
-  // machine-dependent; the 4-shard-vs-1-shard ratio is the signal.
+  // in `info`) because the absolute numbers are machine-dependent; the
+  // 4-shard-vs-1-shard ratio is the signal.
   constexpr int kObserveThreads = 4;
   constexpr int kObservePerThread = 30000;
   constexpr int kObserveGroups = 64;
@@ -282,73 +249,39 @@ int main() {
         });
       }
       for (std::thread& t : writers) t.join();
-      g_sink = static_cast<uint64_t>((*contended)->TotalObservations());
+      KeepAlive((*contended)->TotalObservations());
     });
     return kObserveThreads * kObservePerThread / seconds;
   };
   const double observe_qps_1shard = observe_qps(1);
   const double observe_qps_4shard = observe_qps(4);
 
-  const double calibration = CalibrationSeconds();
-  std::FILE* out = std::fopen("BENCH_serving.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_serving.json\n");
-    return 1;
-  }
-  std::fprintf(
-      out,
-      "{\n"
-      "  \"calibration_seconds\": %.6f,\n"
-      "  \"kernels\": {\n"
-      "    \"serving_batch_predict\": %.6f,\n"
-      "    \"serving_closed_loop\": %.6f\n"
-      "  },\n"
-      "  \"serving\": {\n"
-      "    \"closed_loop_requests\": %d,\n"
-      "    \"closed_loop_qps\": %.0f,\n"
-      "    \"latency_p50_seconds\": %.6f,\n"
-      "    \"latency_p99_seconds\": %.6f,\n"
-      "    \"latency_p999_seconds\": %.6f,\n"
-      "    \"open_loop_requests\": %d,\n"
-      "    \"open_loop_seconds\": %.3f,\n"
-      "    \"open_loop_served\": %lld,\n"
-      "    \"open_loop_degraded\": %lld,\n"
-      "    \"open_loop_shed\": %lld,\n"
-      "    \"open_loop_shed_rate\": %.4f,\n"
-      "    \"shed_queue_full\": %lld,\n"
-      "    \"shed_watermark\": %lld,\n"
-      "    \"shed_tokens\": %lld,\n"
-      "    \"shed_deadline\": %lld,\n"
-      "    \"observe_qps_1shard\": %.0f,\n"
-      "    \"observe_qps_4shard\": %.0f,\n"
-      "    \"observe_shard_speedup\": %.3f\n"
-      "  }\n"
-      "}\n",
-      calibration, batch_predict_s, closed_loop_s, kClosedTotal,
-      closed_loop_qps, p50, p99, p999, kSpikeTotal, spike_s,
-      static_cast<long long>(stats.served),
-      static_cast<long long>(stats.degraded),
-      static_cast<long long>(stats.shed),
-      static_cast<double>(stats.shed) / kSpikeTotal,
-      static_cast<long long>(
-          stats.shed_by_reason[static_cast<int>(serve::ShedReason::kQueueFull)]),
-      static_cast<long long>(
-          stats.shed_by_reason[static_cast<int>(serve::ShedReason::kWatermark)]),
-      static_cast<long long>(
-          stats.shed_by_reason[static_cast<int>(serve::ShedReason::kTokens)]),
-      static_cast<long long>(
-          stats.shed_by_reason[static_cast<int>(serve::ShedReason::kDeadline)]),
-      observe_qps_1shard, observe_qps_4shard,
-      observe_qps_1shard > 0.0 ? observe_qps_4shard / observe_qps_1shard
-                               : 0.0);
-  std::fclose(out);
-  std::printf(
-      "serving summary written to BENCH_serving.json "
-      "(closed-loop %.0f qps, p99 %.4fs, spike shed rate %.2f%%, "
-      "observe 4-shard/1-shard %.2fx)\n",
-      closed_loop_qps, p99,
-      100.0 * static_cast<double>(stats.shed) / kSpikeTotal,
-      observe_qps_1shard > 0.0 ? observe_qps_4shard / observe_qps_1shard
-                               : 0.0);
+  const auto shed_count = [&](serve::ShedReason reason) {
+    return static_cast<double>(stats.shed_by_reason[static_cast<int>(reason)]);
+  };
+  bench::WriteBenchJson(
+      "BENCH_serving.json",
+      {{"serving_batch_predict", batch_predict_s},
+       {"serving_closed_loop", closed_loop_s}},
+      {{"closed_loop_requests", static_cast<double>(kClosedTotal)},
+       {"closed_loop_qps", closed_loop_qps},
+       {"latency_p50_seconds", p50},
+       {"latency_p99_seconds", p99},
+       {"latency_p999_seconds", p999},
+       {"open_loop_requests", static_cast<double>(kSpikeTotal)},
+       {"open_loop_seconds", spike_s},
+       {"open_loop_served", static_cast<double>(stats.served)},
+       {"open_loop_degraded", static_cast<double>(stats.degraded)},
+       {"open_loop_shed", static_cast<double>(stats.shed)},
+       {"open_loop_shed_rate", static_cast<double>(stats.shed) / kSpikeTotal},
+       {"shed_queue_full", shed_count(serve::ShedReason::kQueueFull)},
+       {"shed_watermark", shed_count(serve::ShedReason::kWatermark)},
+       {"shed_tokens", shed_count(serve::ShedReason::kTokens)},
+       {"shed_deadline", shed_count(serve::ShedReason::kDeadline)},
+       {"observe_qps_1shard", observe_qps_1shard},
+       {"observe_qps_4shard", observe_qps_4shard},
+       {"observe_shard_speedup", observe_qps_1shard > 0.0
+                                     ? observe_qps_4shard / observe_qps_1shard
+                                     : 0.0}});
   return 0;
 }

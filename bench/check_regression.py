@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
 """CI bench-regression gate over the BENCH_*.json kernel summaries.
 
-Compares freshly measured kernel summaries (BENCH_kernels.json,
+Every BENCH file has one schema, written by bench/bench_common.cc:
+
+    {"calibration_seconds": s, "kernels": {name: seconds},
+     "info": {name: number|string}}
+
+The gate reads calibration_seconds and kernels; info is ungated context and
+is ignored. It compares freshly measured kernels (BENCH_kernels.json,
 BENCH_gbdt.json, ...) against the checked-in bench/baseline.json. Raw
 wall-clock is not comparable across runner generations, so every kernel
 time is first normalized by its own file's calibration_seconds (a fixed
-deterministic spin measured on the same machine, same build); the gate
-then fires on the *normalized* ratio:
+deterministic spin measured once per process on the same machine, same
+build); the gate then fires on the *normalized* ratio:
 
     ratio = (current_kernel / current_calibration)
           / (baseline_kernel / baseline_calibration)
@@ -20,8 +26,8 @@ some of the BENCH_*.json files.
 
 --current may repeat; each file carries its own calibration, and their
 kernel maps are merged (duplicate kernel names across files are an error).
-The baseline is a single file: refreshing it merges the current summaries
-by hand or via the cp below when only one file changed.
+The baseline is a single file. tests/bench/check_regression_test.py covers
+these rules on synthetic files.
 
 Usage:
     check_regression.py --baseline bench/baseline.json \
@@ -29,11 +35,11 @@ Usage:
         [--tolerance 0.25]
 
 Refreshing the baseline after an intentional perf change: re-run
-    ./bench/bench_perf_kernels --summaries_only
+    ./bench/bench_perf_kernels
 and fold the new kernel times (renormalized to the baseline's calibration)
 into bench/baseline.json; with a single summary file a plain
     cp BENCH_kernels.json bench/baseline.json
-still works.
+still works (the gate ignores its info map).
 """
 
 import argparse
