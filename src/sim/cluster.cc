@@ -141,6 +141,10 @@ std::vector<int> Cluster::SamplePlacement(int count, double t_seconds,
   const double baseline = BaselineUtilization(t_seconds);
   const int64_t bucket = NoiseBucket(t_seconds);
   const int total = static_cast<int>(machines_.size());
+  // Every util is clamped into [0.02, 0.98], so the acceptance probability
+  // lies strictly inside (0, 1) and Bernoulli draws exactly one Uniform();
+  // at greed 1.5 the same draw is tested against the bracketed x^1.5.
+  const bool three_halves = greed == 1.5;
   for (int k = 0; k < count; ++k) {
     const bool use_preferred =
         preferred_sku >= 0 && rng->Bernoulli(preference);
@@ -165,7 +169,11 @@ std::vector<int> Cluster::SamplePlacement(int count, double t_seconds,
       // Fall back to the last candidate if every attempt is rejected.
       chosen = candidate;
       chosen_util = util;
-      if (rng->Bernoulli(std::pow(1.0 - util, greed))) break;
+      const double idle = 1.0 - util;
+      if (three_halves ? BelowPowThreeHalves(rng->Uniform(), idle)
+                       : rng->Bernoulli(std::pow(idle, greed))) {
+        break;
+      }
     }
     out.push_back(chosen);
     if (utilization != nullptr) utilization->push_back(chosen_util);

@@ -10,6 +10,7 @@
 #ifndef RVAR_SIM_CLUSTER_H_
 #define RVAR_SIM_CLUSTER_H_
 
+#include <cmath>
 #include <vector>
 
 #include "common/result.h"
@@ -41,6 +42,23 @@ struct ClusterConfig {
   double spare_exposure = 0.8;
   uint64_t seed = 1234;
 };
+
+/// Whether `u < std::pow(x, 1.5)`, for x in [0.02, 0.98] (the idle share
+/// 1 - utilization of a placement candidate at the default greed), decided
+/// without `pow` unless `u` is a near-tie. sqrt is correctly rounded and
+/// the product adds one rounding, so q = x * sqrt(x) is within 2^-52
+/// relative of x^1.5; glibc's pow is within 1 ulp (2^-52 relative). The
+/// two can differ by at most ~2^-51 q, so a draw below q - q * 2^-48 or at
+/// or above q + q * 2^-48 (a bracket of >= 16 ulp each side, exact up to
+/// the half-ulp rounding of its ends) is on the same side of both, and
+/// only a draw inside the bracket pays for the pow call.
+inline bool BelowPowThreeHalves(double u, double x) {
+  const double q = x * std::sqrt(x);
+  const double slack = q * 0x1p-48;
+  if (u < q - slack) return true;
+  if (u >= q + slack) return false;
+  return u < std::pow(x, 1.5);
+}
 
 /// \brief A fleet of machines with queryable utilization and spare-token
 /// supply. Immutable after construction; all queries are deterministic.

@@ -248,6 +248,44 @@ TEST(MachineNoiseTest, DeterministicAndBounded) {
   EXPECT_NE(MachineNoise(77, 1, 5), MachineNoise(77, 1, 6));
 }
 
+// BelowPowThreeHalves stands in for `u < std::pow(x, 1.5)` in placement;
+// any disagreement would change a placement decision and every draw after
+// it.
+TEST(PlacementDecisionTest, MatchesPowOnRandomDraws) {
+  Rng rng(4242);
+  for (int i = 0; i < 1000000; ++i) {
+    const double x = rng.Uniform(0.02, 0.98);
+    const double u = rng.Uniform();
+    ASSERT_EQ(BelowPowThreeHalves(u, x), u < std::pow(x, 1.5))
+        << "u=" << u << " x=" << x;
+  }
+}
+
+TEST(PlacementDecisionTest, MatchesPowAtNearTies) {
+  // Draws within 64 ulp of pow(x, 1.5) on both sides, so the pow fallback
+  // inside the bracket runs and the bracket's ends are crossed.
+  Rng rng(4243);
+  int disagreeing_x = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const double x =
+        i == 0 ? 0.02 : (i == 1 ? 0.98 : rng.Uniform(0.02, 0.98));
+    const double p = std::pow(x, 1.5);
+    if (x * std::sqrt(x) != p) ++disagreeing_x;
+    double below = p, above = p;
+    for (int k = 0; k <= 64; ++k) {
+      ASSERT_EQ(BelowPowThreeHalves(below, x), below < p)
+          << "x=" << x << " k=-" << k;
+      ASSERT_EQ(BelowPowThreeHalves(above, x), above < p)
+          << "x=" << x << " k=+" << k;
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, 1.0);
+    }
+  }
+  // x * sqrt(x) is not pow's value for every x; where they differ, only
+  // the bracket keeps the ties on pow's side.
+  EXPECT_GT(disagreeing_x, 0);
+}
+
 }  // namespace
 }  // namespace sim
 }  // namespace rvar
