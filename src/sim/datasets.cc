@@ -1,9 +1,41 @@
 #include "sim/datasets.h"
 
+#include "common/parallel.h"
 #include "common/strings.h"
 
 namespace rvar {
 namespace sim {
+namespace {
+
+/// Machine-utilization queries one pooled chunk of submit-time snapshots
+/// must carry (~0.3 ms of hashing) to repay its dispatch (DESIGN.md §8).
+constexpr size_t kMinMachineQueriesPerChunk = 65536;
+
+/// Fills each run's sku_cpu_util: the mean utilization of every SKU at the
+/// run's submit time. The snapshot reads only the immutable cluster and
+/// draws nothing, so chunks of runs fill their own slots on the pool with
+/// the values a serial loop would write.
+void FillSubmitSkuUtilization(const Cluster& cluster,
+                              std::vector<JobRun>* runs) {
+  const size_t num_skus = cluster.catalog().NumSkus();
+  // SkuUtilization reads ~64 machines of each SKU (its subsample).
+  const size_t queries_per_run = num_skus * 64;
+  ParallelFor(runs->size(),
+              GrainForWork(runs->size(), runs->size() * queries_per_run,
+                           kMinMachineQueriesPerChunk),
+              [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      JobRun& run = (*runs)[i];
+      run.sku_cpu_util.resize(num_skus);
+      for (size_t s = 0; s < num_skus; ++s) {
+        cluster.SkuUtilization(static_cast<int>(s), run.submit_time,
+                               &run.sku_cpu_util[s], nullptr);
+      }
+    }
+  });
+}
+
+}  // namespace
 
 int DatasetSlice::NumQualifyingGroups() const {
   return static_cast<int>(telemetry.GroupsWithSupport(min_support).size());
@@ -91,6 +123,8 @@ Result<StudySuite> BuildStudySuite(SuiteConfig config) {
   }
 
   for (int s = 0; s < 3; ++s) {
+    // Before CorruptTelemetry, which may clear the column.
+    FillSubmitSkuUtilization(*suite.cluster, &slice_runs[s]);
     if (!faults_active) {
       for (JobRun& run : slice_runs[s]) {
         slices[s]->telemetry.Add(std::move(run));

@@ -83,11 +83,6 @@ Result<JobRun> TokenScheduler::Execute(const JobGroupSpec& group,
   run.cluster_baseline_util = cluster_->BaselineUtilization(t0);
   run.spare_availability = cluster_->SpareAvailability(t0);
   run.sku_vertex_fraction.assign(num_skus, 0.0);
-  run.sku_cpu_util.assign(num_skus, 0.0);
-  for (size_t s = 0; s < num_skus; ++s) {
-    cluster_->SkuUtilization(static_cast<int>(s), t0, &run.sku_cpu_util[s],
-                             nullptr);
-  }
 
   // Spare tokens: a fraction of the exposed pool, proportional to the
   // allocation and capped at spare_multiplier_cap * allocation.

@@ -102,7 +102,9 @@ struct JobRun {
 
   // --- Placement / environment telemetry ---
   std::vector<double> sku_vertex_fraction;  ///< per SKU, sums to ~1
-  std::vector<double> sku_cpu_util;         ///< per SKU mean util at submit
+  /// Per SKU mean util at submit (Cluster::SkuUtilization). Filled by
+  /// BuildStudySuite, not by TokenScheduler::Execute.
+  std::vector<double> sku_cpu_util;
   double cpu_util_mean = 0.0;  ///< across the sampled placement machines
   double cpu_util_std = 0.0;
   double cluster_baseline_util = 0.0;
@@ -126,6 +128,9 @@ class TokenScheduler {
 
   /// Runs one instance of `group`, consuming randomness from `rng`.
   /// Fails if the group's allocation is non-positive or input is invalid.
+  /// Does not fill `sku_cpu_util` and leaves it empty: that per-SKU
+  /// snapshot is a pure function of submit_time that draws nothing, so
+  /// BuildStudySuite fills it on the pool, off the serial Rng chain.
   Result<JobRun> Execute(const JobGroupSpec& group,
                          const JobInstanceSpec& instance, Rng* rng) const;
 
