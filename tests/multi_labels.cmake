@@ -22,3 +22,11 @@ endforeach()
 foreach(_t IN LISTS sketch_codec_test_TESTS)
   set_tests_properties("${_t}" PROPERTIES LABELS "sketch;chaos")
 endforeach()
+
+# The simulator fingerprints in sim_test assert their hashes at several
+# pool widths; the concurrency label puts them in the TSan job.
+foreach(_t IN LISTS sim_test_TESTS)
+  if(_t MATCHES "^SuiteFingerprintTest\\.")
+    set_tests_properties("${_t}" PROPERTIES LABELS "concurrency")
+  endif()
+endforeach()

@@ -4,7 +4,9 @@
 // simulator's output is a pure function of its SuiteConfig, so any change
 // to src/sim/ that reorders a floating-point operation or an Rng draw
 // moves these hashes. A deliberate change to the simulated model must
-// re-record them and say so.
+// re-record them and say so. Part of the suite build runs on the pool
+// (the per-SKU submit snapshot), so each hash is asserted at several pool
+// widths; the tests carry the `concurrency` label for the TSan job.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/parallel.h"
 #include "sim/datasets.h"
 
 namespace rvar {
@@ -113,13 +116,27 @@ uint64_t SuiteFingerprint(const StudySuite& suite) {
   return fp.value();
 }
 
+/// Pool widths every recorded hash must hold at.
+constexpr int kPoolWidths[] = {1, 2, 3, 8};
+
+/// Restores the default pool width when a test ends, pass or fail.
+class PoolWidthGuard {
+ public:
+  ~PoolWidthGuard() { SetParallelThreads(0); }
+};
+
 // The expected hashes were recorded from the simulator as it stood before
 // the utilization field's per-query invariants were hoisted.
 TEST(SuiteFingerprintTest, CleanSuiteIsBitIdentical) {
-  auto suite = BuildStudySuite(SmallSuite());
-  ASSERT_TRUE(suite.ok()) << suite.status().ToString();
-  EXPECT_GT(suite->d1.telemetry.NumRuns(), 100u);
-  EXPECT_EQ(SuiteFingerprint(*suite), 0x9461ba2f53053918ULL);
+  PoolWidthGuard guard;
+  for (int width : kPoolWidths) {
+    SCOPED_TRACE(width);
+    SetParallelThreads(width);
+    auto suite = BuildStudySuite(SmallSuite());
+    ASSERT_TRUE(suite.ok()) << suite.status().ToString();
+    EXPECT_GT(suite->d1.telemetry.NumRuns(), 100u);
+    EXPECT_EQ(SuiteFingerprint(*suite), 0x9461ba2f53053918ULL);
+  }
 }
 
 TEST(SuiteFingerprintTest, FaultedSuiteIsBitIdentical) {
@@ -133,19 +150,24 @@ TEST(SuiteFingerprintTest, FaultedSuiteIsBitIdentical) {
   config.faults.negative_runtime_rate = 0.02;
   config.faults.missing_columns_rate = 0.02;
   config.faults.reorder_window = 3;
-  auto suite = BuildStudySuite(config);
-  ASSERT_TRUE(suite.ok()) << suite.status().ToString();
-  // Every fault channel must actually fire, or the hash proves nothing
-  // about the fault paths.
-  EXPECT_GT(suite->faults.machine_faults, 0);
-  EXPECT_GT(suite->faults.quarantined_runs, 0);
-  EXPECT_GT(suite->faults.dropped_runs, 0);
-  bool any_revoked = false;
-  for (const JobRun& run : suite->d1.telemetry.runs()) {
-    any_revoked = any_revoked || run.spare_revoked;
+  PoolWidthGuard guard;
+  for (int width : kPoolWidths) {
+    SCOPED_TRACE(width);
+    SetParallelThreads(width);
+    auto suite = BuildStudySuite(config);
+    ASSERT_TRUE(suite.ok()) << suite.status().ToString();
+    // Every fault channel must actually fire, or the hash proves nothing
+    // about the fault paths.
+    EXPECT_GT(suite->faults.machine_faults, 0);
+    EXPECT_GT(suite->faults.quarantined_runs, 0);
+    EXPECT_GT(suite->faults.dropped_runs, 0);
+    bool any_revoked = false;
+    for (const JobRun& run : suite->d1.telemetry.runs()) {
+      any_revoked = any_revoked || run.spare_revoked;
+    }
+    EXPECT_TRUE(any_revoked);
+    EXPECT_EQ(SuiteFingerprint(*suite), 0x0edb788170d07ed1ULL);
   }
-  EXPECT_TRUE(any_revoked);
-  EXPECT_EQ(SuiteFingerprint(*suite), 0x0edb788170d07ed1ULL);
 }
 
 }  // namespace
