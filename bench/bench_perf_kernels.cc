@@ -4,7 +4,7 @@
 //       kernels gated by bench/check_regression.py;
 //   BENCH_io.json — snapshot save/load and WAL append/replay throughput;
 //   BENCH_parallel.json — 1/2/4/8-thread scaling of GBDT training and
-//       shape-library builds;
+//       shape-library builds, and 1/4-thread study-suite builds;
 //   BENCH_lifecycle.json — retrain, gate-and-swap and rollback latency.
 // Run it from a scratch directory: the files land in the working
 // directory.
@@ -32,6 +32,7 @@
 #include "ml/kmeans.h"
 #include "ml/shap.h"
 #include "ml/simd_kernels.h"
+#include "sim/datasets.h"
 #include "sim/scheduler.h"
 #include "stats/histogram.h"
 #include "stats/kll_sketch.h"
@@ -129,18 +130,31 @@ void WriteBenchIoJson() {
                   {"wal_replay_records_per_s", kWalRecords / replay_s}});
 }
 
-// Thread-scaling sweep over the parallelized kernels (GBDT training and
-// shape-library builds), written to BENCH_parallel.json. The results are
-// bit-identical across thread counts by construction (common/parallel.h),
-// so the sweep measures pure wall-clock scaling; on a single-core host
-// every point degenerates to ~1x, which is why the detected hardware
-// concurrency is recorded alongside.
+// Thread-scaling sweep over the parallelized kernels (GBDT training,
+// shape-library builds and study-suite simulation), written to
+// BENCH_parallel.json. The results are bit-identical across thread counts
+// by construction (common/parallel.h), so the sweep measures pure
+// wall-clock scaling; on a single-core host every point degenerates to
+// ~1x, which is why the detected hardware concurrency is recorded
+// alongside.
 void WriteBenchParallelJson() {
   const int threads[] = {1, 2, 4, 8};
   const ml::Dataset gbdt_data = MakeTabular(4000, 30, 3, 11);
+  // The shape library is timed on the standard suite's D1 with the
+  // standard shape config: the 60-group serving library builds in ~2 ms,
+  // too little work for the pool to show any scaling.
+  const sim::StudySuite suite = bench::BuildSuiteOrDie();
+  const core::GroupMedians medians =
+      core::GroupMedians::FromTelemetry(suite.d1.telemetry);
+  const core::ShapeLibraryConfig library_config =
+      bench::DefaultPredictorConfig(core::Normalization::kRatio).shape;
+  // The 30-group variant of the standard suite (~37.6k runs).
+  sim::SuiteConfig sim_config = bench::DefaultSuiteConfig();
+  sim_config.num_groups = 30;
 
   double gbdt_s[4] = {0.0};
   double library_s[4] = {0.0};
+  double sim_s[4] = {0.0};
   for (int t = 0; t < 4; ++t) {
     SetParallelThreads(threads[t]);
     gbdt_s[t] = SecondsOf([&] {
@@ -148,9 +162,15 @@ void WriteBenchParallelJson() {
       KeepAlive(model.Fit(gbdt_data).ok());
     });
     library_s[t] = SecondsOf([&] {
-      core::ShapeLibrary library = MakeServingLibrary();
-      KeepAlive(library.num_clusters());
+      auto library = core::ShapeLibrary::Build(suite.d1.telemetry, medians,
+                                               library_config);
+      KeepAlive(library.ok());
     });
+    if (threads[t] == 1 || threads[t] == 4) {
+      sim_s[t] = SecondsOf([&] {
+        KeepAlive(sim::BuildStudySuite(sim_config).ok());
+      });
+    }
   }
   SetParallelThreads(0);
 
@@ -165,6 +185,8 @@ void WriteBenchParallelJson() {
   info.push_back({"gbdt_speedup_at_4_threads", gbdt_s[0] / gbdt_s[2]});
   info.push_back(
       {"shape_library_speedup_at_4_threads", library_s[0] / library_s[2]});
+  info.push_back({"sim_build_suite_seconds_1t", sim_s[0]});
+  info.push_back({"sim_build_suite_seconds_4t", sim_s[2]});
   WriteBenchJson("BENCH_parallel.json", {}, info);
 }
 
